@@ -10,20 +10,15 @@
 // snapshot; see docs/OBSERVABILITY.md. `--jobs N` runs the sweep's
 // independent Worlds on N threads (0 = hardware concurrency) — counters in
 // the merged snapshot are identical to a sequential run, only the wall
-// clock moves. `--wire 1|2|3` pins the frame layout
-// (docs/WIRE.md; default v3) — protocol counters are bit-identical across
-// v1/v2, only the encode-cache counters (ring.entries_rebuilds vs
-// ring.entries_spliced) and byte counts move. v3 additionally switches the
-// state exchange to digest/delta mode (two exchange messages per member
-// per view change instead of one), so vs.gpsnd/gprcv move by design while
-// the TO-level client counters stay identical at quiescence.
+// clock moves. Every World runs the one frame layout (v3, docs/WIRE.md)
+// with the digest/delta state exchange.
 //
 // `--churn` switches to the crash/rejoin workload behind the PR 6
 // evidence: members drop out and return on a fixed schedule, forcing a
-// state exchange per membership change. Run it twice — `--wire 2` and
-// `--wire 3` — with the same seeds and compare ring.state_exchange_bytes
-// and the to.* counters in the exported snapshots. Combined with
-// `--shards K` the same churn cadence runs inside the sharded workload.
+// state exchange per membership change; the run prints
+// ring.state_exchange_bytes split by summary/digest/delta next to the
+// to.* counters. Combined with `--shards K` the same churn cadence runs
+// inside the sharded workload.
 //
 // `--timeline-out PATH` (single-World workloads: --shards K, or the last
 // rate of a --rate sweep) additionally samples every registry on a
@@ -63,7 +58,7 @@ using namespace vsg;
 
 namespace {
 
-double run_one(int n, sim::Time pi, std::uint64_t seed, membership::WireFormat wire,
+double run_one(int n, sim::Time pi, std::uint64_t seed,
                const std::shared_ptr<obs::MetricsRegistry>& metrics) {
   obs::ScopedWallTimer timer(
       metrics->histogram("bench.run_wall", obs::Unit::kWallMicros));
@@ -72,7 +67,6 @@ double run_one(int n, sim::Time pi, std::uint64_t seed, membership::WireFormat w
   cfg.n = n;
   cfg.backend = harness::Backend::kTokenRing;
   cfg.ring.pi = pi;
-  cfg.ring.wire = wire;
   cfg.seed = seed;
   cfg.metrics = metrics;  // all sweep runs accumulate into one registry
   harness::World world(cfg);
@@ -97,11 +91,10 @@ double run_one(int n, sim::Time pi, std::uint64_t seed, membership::WireFormat w
 // robin over 1..n-1; processor 0 stays up as the delivery observer) goes
 // bad for a second and returns. Each departure and each return forms a new
 // view, and every view change triggers a full state exchange — the traffic
-// the v3 digest/delta protocol compresses. Crashed processors keep their
+// the digest/delta protocol compresses. Crashed processors keep their
 // in-memory state across the outage (kBad silences, it does not reset), so
 // on rejoin a digest exchange discovers that peers lack almost nothing.
 std::uint64_t run_churn(int n, sim::Time pi, std::uint64_t seed,
-                        membership::WireFormat wire,
                         const std::shared_ptr<obs::MetricsRegistry>& metrics) {
   obs::ScopedWallTimer timer(
       metrics->histogram("bench.run_wall", obs::Unit::kWallMicros));
@@ -110,7 +103,6 @@ std::uint64_t run_churn(int n, sim::Time pi, std::uint64_t seed,
   cfg.n = n;
   cfg.backend = harness::Backend::kTokenRing;
   cfg.ring.pi = pi;
-  cfg.ring.wire = wire;
   cfg.seed = seed;
   cfg.metrics = metrics;
   harness::World world(cfg);
@@ -130,8 +122,7 @@ std::uint64_t run_churn(int n, sim::Time pi, std::uint64_t seed,
     world.proc_status_at(t + sim::sec(1), victim, sim::Status::kGood);
   }
   // Run well past the last submission so every world reaches quiescence:
-  // at that point the TO-level client counters are workload-determined and
-  // must match across wire versions.
+  // at that point the TO-level client counters are workload-determined.
   world.run_until(end + sim::sec(6));
   return harness::deliveries_at(world.recorder().events(), 0, start, end + sim::sec(6));
 }
@@ -324,7 +315,6 @@ RateCell run_rate(int rate, std::uint64_t budget, int gate /*0 off, 1 shed, 2 de
 
 int main(int argc, char** argv) {
   const auto export_path = obs::export_path_from_args(argc, argv);
-  auto wire = membership::kDefaultWireFormat;
   bool churn = false;
   int jobs = 1;
   int shards = 0;       // 0: classic sweep; K >= 1: sharded scaling workload
@@ -400,13 +390,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (std::strcmp(argv[i], "--wire") != 0 || i + 1 >= argc) continue;
-    const int v = std::atoi(argv[i + 1]);
-    if (!wire::known_version(static_cast<std::uint8_t>(v))) {
-      std::fprintf(stderr, "--wire takes 1, 2 or 3 (docs/WIRE.md)\n");
-      return 2;
-    }
-    wire = static_cast<membership::WireFormat>(v);
   }
   if (!timeline_out.empty() && shards < 1 && rates.empty()) {
     std::fprintf(stderr, "--timeline-out needs a single-World workload; add --shards K "
@@ -478,8 +461,7 @@ int main(int argc, char** argv) {
                 "writes grow with K\nuntil the load splits below per-ring capacity "
                 "(docs/SHARDING.md).\n");
   } else if (churn) {
-    std::printf("E6-churn: crash/rejoin state-exchange traffic (wire %s, jobs %d)\n\n",
-                membership::to_string(wire),
+    std::printf("E6-churn: crash/rejoin state-exchange traffic (jobs %d)\n\n",
                 exec::effective_jobs(jobs, 3));
     const std::vector<int> widths{6, 4, 14};
     std::printf("%s\n", harness::fmt_row({"seed", "n", "deliveries"}, widths).c_str());
@@ -491,7 +473,7 @@ int main(int argc, char** argv) {
     std::vector<std::uint64_t> cell_delivered(3);
     exec::run_parallel(jobs, cell_metrics.size(), [&](std::size_t i) {
       cell_metrics[i] = std::make_shared<obs::MetricsRegistry>();
-      cell_delivered[i] = run_churn(5, sim::msec(40), 3100 + i, wire, cell_metrics[i]);
+      cell_delivered[i] = run_churn(5, sim::msec(40), 3100 + i, cell_metrics[i]);
     });
     for (std::uint64_t i = 0; i < 3; ++i) {
       const std::uint64_t seed = 3100 + i;
@@ -525,9 +507,8 @@ int main(int argc, char** argv) {
                     metrics->counter("to.labels_assigned").value()));
   } else {
     std::printf(
-        "E6: confirmed-delivery throughput vs ring size and token spacing (wire %s, "
-        "jobs %d)\n\n",
-        membership::to_string(wire), exec::effective_jobs(jobs, 15));
+        "E6: confirmed-delivery throughput vs ring size and token spacing (jobs %d)\n\n",
+        exec::effective_jobs(jobs, 15));
     const std::vector<int> widths{4, 10, 14, 16};
     std::printf("%s\n",
                 harness::fmt_row({"n", "pi", "deliv/sec", "offered/sec"}, widths).c_str());
@@ -546,7 +527,7 @@ int main(int argc, char** argv) {
     exec::run_parallel(jobs, cells.size(), [&](std::size_t i) {
       cell_metrics[i] = std::make_shared<obs::MetricsRegistry>();
       cell_rate[i] =
-          run_one(cells[i].n, cells[i].pi, 2200 + cells[i].n, wire, cell_metrics[i]);
+          run_one(cells[i].n, cells[i].pi, 2200 + cells[i].n, cell_metrics[i]);
     });
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const int n = cells[i].n;

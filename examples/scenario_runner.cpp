@@ -154,16 +154,6 @@ int main(int argc, char** argv) {
   cfg.backend = opt.backend;
   cfg.seed = opt.seed;
   cfg.sampler.enabled = !opt.timeline_out.empty();
-  if (parsed.meta.wire.has_value()) {
-    if (!wire::known_version(static_cast<std::uint8_t>(*parsed.meta.wire))) {
-      std::fprintf(stderr,
-                   "scenario pins wire v%d, but this build speaks v1, v2 and v3 "
-                   "(docs/WIRE.md)\n",
-                   *parsed.meta.wire);
-      return 2;
-    }
-    cfg.ring.wire = static_cast<membership::WireFormat>(*parsed.meta.wire);
-  }
   if (parsed.meta.budget.has_value()) {
     // Budget pins replay with lanes on, same pairing as chaos_runner
     // --budget (docs/FLOWCONTROL.md).

@@ -23,16 +23,17 @@ grep -q '"to.brcv_latency.all"' build/BENCH_throughput.json
 
 # Wire-compat gate (docs/WIRE.md, "Wire-compat gate"): the golden frame
 # fixtures committed under tests/wire/ were encoded when each version
-# shipped; every build must keep decoding them, and must refuse the
-# unknown-version fixture. A layout change that breaks old bytes fails
-# here instead of in a mixed-version deployment.
-for f in tests/wire/golden_v*.frame; do
-  ./build/tools/chaos_runner --decode-frame "$f"
+# shipped. Every build must keep decoding the v3 one — a layout change that
+# breaks shipped bytes fails here — and must refuse the retired v1/v2
+# fixtures and the unknown-version fixture, never read them as v3.
+./build/tools/chaos_runner --decode-frame tests/wire/golden_v3.frame
+for f in tests/wire/golden_v1.frame tests/wire/golden_v2.frame \
+         tests/wire/unknown_version.frame; do
+  if ./build/tools/chaos_runner --decode-frame "$f"; then
+    echo "check.sh: $f was accepted" >&2
+    exit 1
+  fi
 done
-if ./build/tools/chaos_runner --decode-frame tests/wire/unknown_version.frame; then
-  echo "check.sh: unknown-version frame was accepted" >&2
-  exit 1
-fi
 
 # Chaos smoke campaign (docs/CHAOS.md): 200 fixed seeds under the full
 # oracle set must run clean, and the campaign metrics must export.
@@ -92,19 +93,14 @@ if grep -rnE --include='*.cpp' --include='*.hpp' \
   exit 1
 fi
 
-# Wire cross-check (docs/WIRE.md, "v3 state exchange"): the same chaos
-# schedules under wire v2 (full summaries) and v3 (digest/delta) must agree
-# on every oracle verdict and deliver the same value multisets.
+# Exchange cross-check (docs/WIRE.md, "Digest/delta state exchange"): the
+# same chaos schedules on identical v3 frames under the paper's Figure 8
+# full-summary exchange and under digest/delta must agree on every oracle
+# verdict and deliver the same value multisets.
 ./build/tools/chaos_runner --cross-check --seeds 25 --smoke
 
-# Minimized regression scenarios from past campaign finds must replay clean,
-# and each must pin the wire version it was minimized under (docs/WIRE.md,
-# "Scenario pinning") — bit-flip repros are meaningless under another layout.
+# Minimized regression scenarios from past campaign finds must replay clean.
 for scn in tests/scenarios/*.scn; do
-  grep -q '^config wire ' "$scn" || {
-    echo "check.sh: $scn is missing its 'config wire' pin" >&2
-    exit 1
-  }
   ./build/tools/chaos_runner --replay "$scn"
 done
 
@@ -133,12 +129,12 @@ test "$(ls build/timelines/timeline_seed*.json | wc -l)" -eq 50
 # Timeline determinism pin: a fixed-seed K=1 replay's timeline is hashed
 # with the canonical vsg-timeseries-v1 fingerprint. Sampler reads never
 # touch the RNG or the schedule, so this value only moves when the metric
-# set or the protocol itself changes — update it alongside the campaign
-# fingerprint above when that is intentional.
+# set, the protocol or the replayed scenario changes — update it alongside
+# the campaign fingerprint above when that is intentional.
 ./build/tools/chaos_runner --replay tests/scenarios/chaos_seed248_stuck_proposal.scn \
     --timeline-out build/replay_timeline.json
 tfp=$(./build/tools/vsg_report --fingerprint build/replay_timeline.json | cut -d' ' -f1)
-if [ "$tfp" != "76f52e0f2f785e7a" ]; then
+if [ "$tfp" != "9fd978a7e509869b" ]; then
   echo "check.sh: fixed-seed timeline fingerprint drifted ($tfp)" >&2
   exit 1
 fi
@@ -179,16 +175,13 @@ if ./build/tools/chaos_runner --replay build/stall_repro/chaos_seed5.scn \
 fi
 
 # The injected-fault demo: with the historical decode bug re-enabled, the
-# same oracles must catch it (exit 1) on its minimized repros — one per
-# wire layout (v1 bytes: seed 75; v3 bytes: seed 138), since corruption
-# offsets that slip past an unchecked decoder are layout-dependent.
-for scn in tests/scenarios/chaos_seed75_unchecked_decode.scn \
-           tests/scenarios/chaos_seed138_unchecked_decode.scn; do
-  if ./build/tools/chaos_runner --replay "$scn" --inject-unchecked-decode >/dev/null; then
-    echo "check.sh: injected decode fault was NOT caught ($scn)" >&2
-    exit 1
-  fi
-done
+# same oracles must catch it (exit 1) on its minimized repro (seed 138,
+# minimized on v3 bytes).
+if ./build/tools/chaos_runner --replay tests/scenarios/chaos_seed138_unchecked_decode.scn \
+    --inject-unchecked-decode >/dev/null; then
+  echo "check.sh: injected decode fault was NOT caught (seed 138)" >&2
+  exit 1
+fi
 
 # Flow-control gate (docs/FLOWCONTROL.md): a churned rate sweep past ring
 # capacity under a byte budget + shed admission gate must log ZERO

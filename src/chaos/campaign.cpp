@@ -103,6 +103,7 @@ RunResult run_one(const CampaignConfig& cfg, const harness::Scenario& scenario, 
   wc.seed = seed;
   wc.link = cfg.link;
   wc.ring = cfg.ring;
+  wc.exchange = cfg.exchange;
   wc.shards = cfg.shards;
   wc.sampler = cfg.sampler;
   if (capture_trace) {
@@ -152,8 +153,8 @@ RunResult run_one(const CampaignConfig& cfg, const harness::Scenario& scenario, 
   // Delivery fingerprint: per-delivery fnv1a over (processor, origin,
   // value), combined commutatively. Order-insensitive on purpose — the TO
   // specification admits many total orders, and two protocol variants (the
-  // wire cross-check runs full-summary and digest/delta exchanges side by
-  // side) may pick different ones while delivering exactly the same values
+  // exchange cross-check runs full-summary and digest/delta exchanges side
+  // by side) may pick different ones while delivering exactly the same values
   // to exactly the same processors. Order agreement *within* a run is the
   // TO oracle's job, not the fingerprint's.
   std::uint64_t fp = 0;
@@ -258,7 +259,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
 
     Failure failure;
     failure.seed = seed;
-    failure.wire = static_cast<int>(cfg.ring.wire);
     failure.shards = cfg.shards;
     failure.budget = cfg.ring.board_budget_bytes;
     failure.violations = run.violations;
@@ -321,7 +321,6 @@ std::string repro_text(const Failure& f) {
   meta.n = f.minimal.n;
   meta.seed = f.seed;
   meta.until = f.schedule.run_until;
-  meta.wire = f.wire;
   if (f.shards > 1) meta.shards = f.shards;
   if (f.budget > 0) meta.budget = f.budget;
   std::string text = "# chaos repro: seed " + std::to_string(f.seed) + ", " +

@@ -35,6 +35,10 @@ struct CampaignConfig {
   harness::Backend backend = harness::Backend::kTokenRing;
   net::LinkModel link;  // campaign default enables ugly-link corruption
   membership::TokenRingConfig ring;
+  /// State-exchange protocol of every seed's World
+  /// (harness::WorldConfig::exchange); chaos_runner --cross-check runs each
+  /// seed under both and compares.
+  vstoto::ExchangeMode exchange = vstoto::ExchangeMode::kDigestDelta;
   /// Independent VStoTO stacks per World (harness::WorldConfig::shards).
   /// Scripted broadcasts route to shards by value hash; every shard gets
   /// its own oracle pair, recovery check, and fingerprint contribution.
@@ -78,8 +82,8 @@ struct RunResult {
   std::string flight_recorder;
   /// Commutative combination of per-delivery fnv1a hashes over (processor,
   /// origin, value): two runs agree iff every processor delivered the same
-  /// multiset of values — the equality the wire cross-check asserts between
-  /// full-summary and digest/delta state exchange (chaos_runner
+  /// multiset of values — the equality the exchange cross-check asserts
+  /// between full-summary and digest/delta state exchange (chaos_runner
   /// --cross-check). Deliberately order-insensitive: the TO spec admits
   /// many total orders and the two exchange protocols may pick different
   /// ones; within-run order agreement is enforced by the TO oracle.
@@ -115,10 +119,6 @@ RunResult run_one(const CampaignConfig& cfg, const harness::Scenario& scenario, 
 
 struct Failure {
   std::uint64_t seed = 0;
-  /// Frame version the campaign ran under; repro_text pins it (`config
-  /// wire N`) so the repro replays byte-for-byte even after the default
-  /// wire version changes (docs/WIRE.md).
-  int wire = static_cast<int>(membership::kDefaultWireFormat);
   /// Shard count the campaign ran under; repro_text pins it (`config
   /// shards K`) whenever K > 1 so replays rebuild the same topology.
   int shards = 1;

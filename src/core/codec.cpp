@@ -1,20 +1,20 @@
 #include "core/codec.hpp"
 
+#include <cassert>
+
 namespace vsg::wire {
 
 const char* to_string(Version w) noexcept {
   switch (w) {
-    case Version::kV1:
-      return "v1";
-    case Version::kV2:
-      return "v2";
+    case Version::kFixedWidth:
+      return "fixed-width";
     case Version::kV3:
       return "v3";
   }
   return "?";
 }
 
-// --- LabelChain (v3 delta-coded label lists) --------------------------------
+// --- LabelChain (kV3 delta-coded label lists) --------------------------------
 
 std::size_t LabelChain::size(const core::Label& l) noexcept {
   const std::size_t n =
@@ -78,7 +78,7 @@ core::ViewId Codec<core::ViewId>::decode(util::Decoder& d, Version w) {
 // --- View -------------------------------------------------------------------
 
 std::size_t Codec<core::View>::size(const core::View& v, Version w) {
-  if (w != Version::kV3) return 12 + 4 + 4 * v.members.size();
+  assert(w == Version::kV3);
   std::size_t n = Codec<core::ViewId>::size(v.id, w) + util::uvarint_size(v.members.size());
   ProcId prev = 0;
   for (ProcId p : v.members) {
@@ -89,12 +89,8 @@ std::size_t Codec<core::View>::size(const core::View& v, Version w) {
 }
 
 void Codec<core::View>::encode(util::Encoder& e, const core::View& v, Version w) {
+  assert(w == Version::kV3);
   Codec<core::ViewId>::encode(e, v.id, w);
-  if (w != Version::kV3) {
-    e.u32(static_cast<std::uint32_t>(v.members.size()));
-    for (ProcId p : v.members) e.u32(static_cast<std::uint32_t>(p));
-    return;
-  }
   e.uvarint(v.members.size());
   ProcId prev = 0;
   for (ProcId p : v.members) {  // set iteration is ascending: deltas stay small
@@ -104,14 +100,9 @@ void Codec<core::View>::encode(util::Encoder& e, const core::View& v, Version w)
 }
 
 core::View Codec<core::View>::decode(util::Decoder& d, Version w) {
+  assert(w == Version::kV3);
   core::View v;
   v.id = Codec<core::ViewId>::decode(d, w);
-  if (w != Version::kV3) {
-    const std::uint32_t n = d.u32();
-    for (std::uint32_t i = 0; i < n && d.ok(); ++i)
-      v.members.insert(static_cast<ProcId>(d.u32()));
-    return v;
-  }
   const std::uint64_t n = d.uvarint();
   ProcId prev = 0;
   for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
@@ -236,9 +227,9 @@ core::Summary Codec<core::Summary>::decode(util::Decoder& d, Version w) {
 
 // --- SummaryDigest ----------------------------------------------------------
 //
-// Digest/delta layouts are varint-coded regardless of `w` (they are v3-era
-// messages with no legacy layout); the version still flows through for the
-// nested viewids so a future v4 can re-code them without a new type.
+// Digest/delta layouts are varint-coded regardless of `w` (they have no
+// fixed-width layout); the layout still flows through for the nested
+// viewids so a future layout can re-code them without a new type.
 
 namespace {
 

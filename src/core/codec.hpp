@@ -1,27 +1,28 @@
 #pragma once
 
-// The versioned wire codec API (docs/WIRE.md).
+// The wire codec API (docs/WIRE.md).
 //
-// One frame version byte selects the byte layout of everything inside the
-// frame, and Codec<T> is the single switch point: each specialization
-// provides the (size, encode, decode) triple for its type under every known
-// version, so a new wire revision extends the specializations instead of
-// forking call sites. Layout summary:
+// Codec<T> is the single switch point for the byte layout of one wire type:
+// each specialization provides the (size, encode, decode) triple for every
+// layout the type has. Two layouts exist:
 //
-//   v1/v2 — fixed-width little-endian fields (the PR 5 layouts, byte-for-
-//           byte; v1 vs v2 differ only in the token entries section, which
-//           lives in membership's Codec<Token>).
-//   v3    — varint frame bodies: LEB128 counters and lengths, zigzag
-//           svarint deltas for label/viewid components (labels in a list
-//           are delta-coded against their predecessor). The 9-byte frame
-//           header itself stays fixed-width so the checksum can be
-//           back-patched in place.
+//   kV3        — the frame layout (frame version byte 3, the only one this
+//                build sends or accepts): LEB128 counters and lengths,
+//                zigzag svarint deltas for label/viewid components (labels
+//                in a list are delta-coded against their predecessor). The
+//                9-byte frame header itself stays fixed-width so the
+//                checksum can be back-patched in place.
+//   kFixedWidth — fixed-width little-endian fields. Never a frame version:
+//                it is the VSTOTO payload body layout of labeled values and
+//                full summaries (core::encode / decode_label /
+//                decode_summary), kept byte for byte because the pinned
+//                fingerprints hash those bytes.
 //
 // Codec sizes are exact: Codec<T>::size(x, w) equals the bytes encode
 // produces, so a measured Encoder::reserve still costs one allocation.
 //
-// The namespace is vsg::wire (not core or membership): versions cross every
-// layer, and membership reopens it to specialize Codec for its packet types.
+// The namespace is vsg::wire (not core or membership): layouts cross every
+// layer, and membership reopens it to specialize Codec for its frame header.
 
 #include <cstdint>
 #include <optional>
@@ -34,15 +35,11 @@
 
 namespace vsg::wire {
 
-/// Frame-header wire version (docs/WIRE.md). kV1 is the flat token-entries
-/// layout, kV2 batches entries into same-source segments, kV3 varint-codes
-/// frame bodies and carries the digest/delta state exchange.
-enum class Version : std::uint8_t { kV1 = 1, kV2 = 2, kV3 = 3 };
-
-constexpr bool known_version(std::uint8_t v) noexcept {
-  return v >= static_cast<std::uint8_t>(Version::kV1) &&
-         v <= static_cast<std::uint8_t>(Version::kV3);
-}
+/// A byte layout (docs/WIRE.md). kV3 is the frame layout and its value is
+/// the frame version byte; kFixedWidth is the VSTOTO payload body layout
+/// and never appears as a frame version (2 is its historical number: the
+/// retired v2 frames carried the same fixed-width bodies).
+enum class Version : std::uint8_t { kFixedWidth = 2, kV3 = 3 };
 
 const char* to_string(Version w) noexcept;
 
@@ -64,10 +61,8 @@ inline constexpr std::uint8_t kPayloadDelta = 4;
 template <typename T>
 struct Codec;
 
-/// Outcome of a non-throwing decode: engaged value or a reject reason.
-/// The packet-layer instance (membership::DecodeOutcome) predates this
-/// template and keeps its `packet` member name; new decode entry points
-/// (vstoto::decode_message_ex) use this shape.
+/// Outcome of a non-throwing decode: engaged value or a reject reason
+/// (membership::decode_packet_ex, vstoto::decode_message_ex).
 template <typename T>
 struct DecodeOutcome {
   std::optional<T> value;
@@ -82,6 +77,8 @@ struct Codec<core::ViewId> {
   static core::ViewId decode(util::Decoder& d, Version w);
 };
 
+/// Views travel only in frames (ViewAnnounce), so View has the kV3 layout
+/// alone; `w` must be kV3.
 template <>
 struct Codec<core::View> {
   static std::size_t size(const core::View& v, Version w);
@@ -103,8 +100,8 @@ struct Codec<core::Summary> {
   static core::Summary decode(util::Decoder& d, Version w);
 };
 
-/// Digest and delta frames exist only in the v3 exchange; their layout is
-/// varint-coded under every version (there is no legacy layout to keep).
+/// Digest and delta payloads exist only in the digest/delta exchange; their
+/// layout is varint-coded whatever `w` says (there is no fixed-width one).
 template <>
 struct Codec<core::SummaryDigest> {
   static std::size_t size(const core::SummaryDigest& g, Version w);
@@ -119,7 +116,7 @@ struct Codec<core::SummaryDelta> {
   static core::SummaryDelta decode(util::Decoder& d, Version w);
 };
 
-/// Delta-coded label lists (v3): each label is four zigzag svarints relative
+/// Delta-coded label lists (kV3): each label is four zigzag svarints relative
 /// to its predecessor (epoch, viewid origin, seqno, origin), starting from
 /// the all-zero label. Exposed for the token/summary codecs and the mirror
 /// property tests.

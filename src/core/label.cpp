@@ -12,15 +12,14 @@ std::string to_string(const Label& l) {
   return os.str();
 }
 
-// Deprecated shims over wire::Codec<Label> (legacy fixed-width layout; see
-// core/codec.hpp). New call sites pass an explicit version to the Codec.
+// The VSTOTO payload body layout of a label (core/codec.hpp).
 
 void encode(util::Encoder& e, const Label& l) {
-  wire::Codec<Label>::encode(e, l, wire::Version::kV2);
+  wire::Codec<Label>::encode(e, l, wire::Version::kFixedWidth);
 }
 
 Label decode_label(util::Decoder& d) {
-  return wire::Codec<Label>::decode(d, wire::Version::kV2);
+  return wire::Codec<Label>::decode(d, wire::Version::kFixedWidth);
 }
 
 }  // namespace vsg::core

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/types.hpp"
+#include "util/serde.hpp"
 
 namespace vsg::core {
 
@@ -22,11 +23,12 @@ struct Label {
 
 std::string to_string(const Label& l);
 
-/// Deprecated: shims over wire::Codec<Label> (legacy fixed-width layout).
+/// A label in the VSTOTO payload body layout: wire::Codec<Label> under
+/// wire::Version::kFixedWidth (docs/WIRE.md, "VSTOTO payload layer").
 void encode(util::Encoder& e, const Label& l);
 Label decode_label(util::Decoder& d);
 
-/// Exact wire size of the legacy encode(e, l): viewid + seqno + origin.
+/// Exact size of encode(e, l): viewid + seqno + origin.
 constexpr std::size_t encoded_size(const Label&) noexcept { return 12 + 4 + 4; }
 
 }  // namespace vsg::core

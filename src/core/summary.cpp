@@ -135,15 +135,18 @@ std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base) 
   return x;
 }
 
-// Deprecated shims over wire::Codec<Summary> (legacy fixed-width layout; see
-// core/codec.hpp). New call sites pass an explicit version to the Codec.
+// The VSTOTO payload body layout of a full summary (core/codec.hpp).
 
 void encode(util::Encoder& e, const Summary& x) {
-  wire::Codec<Summary>::encode(e, x, wire::Version::kV2);
+  wire::Codec<Summary>::encode(e, x, wire::Version::kFixedWidth);
 }
 
 Summary decode_summary(util::Decoder& d) {
-  return wire::Codec<Summary>::decode(d, wire::Version::kV2);
+  return wire::Codec<Summary>::decode(d, wire::Version::kFixedWidth);
+}
+
+std::size_t encoded_size(const Summary& x) noexcept {
+  return wire::Codec<Summary>::size(x, wire::Version::kFixedWidth);
 }
 
 }  // namespace vsg::core

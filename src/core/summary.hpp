@@ -67,7 +67,7 @@ std::vector<Label> fullorder(const SummaryMap& y);
 /// maxnextconfirm(Y): the highest reported nextconfirm.
 std::uint32_t maxnextconfirm(const SummaryMap& y);
 
-// --- Anti-entropy digests and deltas (docs/WIRE.md, "v3 state exchange") ----
+// --- Anti-entropy digests and deltas (docs/WIRE.md, "Digest/delta state exchange")
 //
 // The digest/delta algebra below implements the two-phase exchange: instead
 // of shipping a whole Summary, a process first advertises what it already
@@ -132,18 +132,12 @@ SummaryDelta delta(const Summary& a, const SummaryDigest& d);
 /// already holds (union-equivalent; see the header comment).
 std::optional<Summary> apply_delta(const SummaryDelta& dl, const Summary& base);
 
-/// Deprecated: shims over wire::Codec<Summary> (legacy fixed-width layout).
+/// A full summary in the VSTOTO payload body layout: wire::Codec<Summary>
+/// under wire::Version::kFixedWidth (docs/WIRE.md, "VSTOTO payload layer").
 void encode(util::Encoder& e, const Summary& x);
 Summary decode_summary(util::Decoder& d);
 
-/// Exact wire size of the legacy encode(e, x) (Encoder::reserve hint).
-inline std::size_t encoded_size(const Summary& x) noexcept {
-  std::size_t n = 4;  // con count
-  for (const auto& [l, a] : x.con) n += encoded_size(l) + 4 + a.size();
-  n += 4 + encoded_size(Label{}) * x.ord.size();  // ord
-  n += 4;                      // next
-  n += 1 + (x.high ? encoded_size(*x.high) : 0);
-  return n;
-}
+/// Exact size of encode(e, x) (Encoder::reserve hint).
+std::size_t encoded_size(const Summary& x) noexcept;
 
 }  // namespace vsg::core

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/codec.hpp"
 
 namespace vsg::core {
 
@@ -27,27 +26,6 @@ std::string to_string(const std::set<ProcId>& s) {
 
 std::string to_string(const View& v) {
   return to_string(v.id) + to_string(v.members);
-}
-
-// The unversioned free functions below are deprecated shims over
-// wire::Codec<T> (core/codec.hpp): they pin the legacy fixed-width layout
-// (identical under v1 and v2). New call sites should use the Codec with an
-// explicit version.
-
-void encode(util::Encoder& e, const ViewId& g) {
-  wire::Codec<ViewId>::encode(e, g, wire::Version::kV2);
-}
-
-ViewId decode_viewid(util::Decoder& d) {
-  return wire::Codec<ViewId>::decode(d, wire::Version::kV2);
-}
-
-void encode(util::Encoder& e, const View& v) {
-  wire::Codec<View>::encode(e, v, wire::Version::kV2);
-}
-
-View decode_view(util::Decoder& d) {
-  return wire::Codec<View>::decode(d, wire::Version::kV2);
 }
 
 View initial_view(int n0) {

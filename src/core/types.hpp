@@ -14,7 +14,6 @@
 #include <set>
 #include <string>
 
-#include "util/serde.hpp"
 #include "util/types.hpp"
 
 namespace vsg::core {
@@ -45,24 +44,6 @@ struct View {
 std::string to_string(const ViewId& g);
 std::string to_string(const View& v);
 std::string to_string(const std::set<ProcId>& s);
-
-/// Deprecated: thin shims over wire::Codec<T> (core/codec.hpp) pinning the
-/// legacy fixed-width layout. New call sites should use the Codec with an
-/// explicit wire::Version.
-void encode(util::Encoder& e, const ViewId& g);
-ViewId decode_viewid(util::Decoder& d);
-
-void encode(util::Encoder& e, const View& v);
-View decode_view(util::Decoder& d);
-
-/// Exact wire sizes of the legacy encodings above, used as Encoder::reserve
-/// hints so a whole message encodes with one allocation (wire_fuzz/serde
-/// tests assert the measured and actual sizes agree). Version-dependent
-/// sizes come from wire::Codec<T>::size.
-constexpr std::size_t encoded_size(const ViewId&) noexcept { return 8 + 4; }
-inline std::size_t encoded_size(const View& v) noexcept {
-  return 12 + 4 + 4 * v.members.size();
-}
 
 /// The distinguished initial view v0 = (g0, P0). P0 = {0..n0-1}: the first
 /// n0 processors form the group at time zero; the rest start with view

@@ -80,8 +80,11 @@ ParseResult parse_scenario(const std::string& text) {
     const auto tokens = tokenize(line);
     if (tokens.empty()) continue;
     if (tokens[0] == "config") {
+      if (tokens.size() >= 2 && tokens[1] == "wire")
+        return fail("config wire is retired: frames have one layout (v3); delete the "
+                    "line (docs/WIRE.md, \"Retired versions\")");
       if (tokens.size() != 3)
-        return fail("config needs: config <n|seed|until|wire|shards|budget> <value>");
+        return fail("config needs: config <n|seed|until|shards|budget> <value>");
       if (tokens[1] == "n") {
         const auto n = parse_proc(tokens[2]);
         if (!n.has_value() || *n <= 0) return fail("bad config n '" + tokens[2] + "'");
@@ -95,10 +98,6 @@ ParseResult parse_scenario(const std::string& text) {
         const auto until = parse_duration(tokens[2]);
         if (!until.has_value()) return fail("bad config until '" + tokens[2] + "'");
         result.meta.until = *until;
-      } else if (tokens[1] == "wire") {
-        const auto w = parse_proc(tokens[2]);  // small non-negative int
-        if (!w.has_value() || *w < 1) return fail("bad config wire '" + tokens[2] + "'");
-        result.meta.wire = static_cast<int>(*w);
       } else if (tokens[1] == "shards") {
         const auto k = parse_proc(tokens[2]);  // small non-negative int
         if (!k.has_value() || *k < 1) return fail("bad config shards '" + tokens[2] + "'");
@@ -224,7 +223,6 @@ std::string write_scenario(const Scenario& scenario, const ScenarioMeta& meta) {
   if (meta.n.has_value()) os << "config n " << *meta.n << '\n';
   if (meta.seed.has_value()) os << "config seed " << *meta.seed << '\n';
   if (meta.until.has_value()) os << "config until " << format_duration(*meta.until) << '\n';
-  if (meta.wire.has_value()) os << "config wire " << *meta.wire << '\n';
   if (meta.shards.has_value()) os << "config shards " << *meta.shards << '\n';
   if (meta.budget.has_value()) os << "config budget " << *meta.budget << '\n';
   for (const auto& timed : scenario.ops) {

@@ -8,7 +8,6 @@
 //   config n 5                   # optional world metadata (see ScenarioMeta)
 //   config seed 42
 //   config until 20s
-//   config wire 1                # pin the frame version (docs/WIRE.md)
 //   config shards 4              # shard count (docs/SHARDING.md)
 //   config budget 256            # boarding budget, bytes/pass (docs/FLOWCONTROL.md)
 //   at 100ms partition 0,1,2 | 3,4
@@ -17,7 +16,9 @@
 //   at 3s    link 0 3 ugly       # directed link (p -> q)
 //   at 4s    heal
 //
-// Times accept us / ms / s suffixes (integer values).
+// Times accept us / ms / s suffixes (integer values). The config key `wire`
+// (a frame-version pin from before the v1/v2 layouts were retired) is
+// rejected: frames have one layout (docs/WIRE.md, "Retired versions").
 //
 // write_scenario() is the exact inverse of parse_scenario(): the chaos
 // shrinker serializes minimized repros with it, and the round-trip property
@@ -38,11 +39,6 @@ struct ScenarioMeta {
   std::optional<int> n;              // config n <int>
   std::optional<std::uint64_t> seed;  // config seed <u64>
   std::optional<sim::Time> until;    // config until <duration>
-  /// Frame version the scenario was recorded/minimized under (config wire
-  /// <1|2>, docs/WIRE.md). Replays apply it to TokenRingConfig::wire so the
-  /// run is byte-for-byte what the shrinker saw, even after the default
-  /// version moves on.
-  std::optional<int> wire;
   /// Shard count the scenario was recorded under (config shards <K>,
   /// docs/SHARDING.md). Replayers must reject counts outside
   /// [1, harness::kMaxShards] loudly rather than silently running K=1.

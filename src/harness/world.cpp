@@ -126,17 +126,12 @@ World::World(WorldConfig config)
 
   for (int k = 0; k < K; ++k) {
     auto& shard = shards_[static_cast<std::size_t>(k)];
-    // Wire v3 carries the compact state exchange: digest first, then a
-    // delta covering only what the weakest peer lacks. Earlier wire
-    // versions (and the spec backend, whose verifier decodes whole
-    // summaries from VS payloads) keep the Figure 8 full-summary exchange.
     const membership::TokenRingConfig& rcfg =
         config_.shard_rings.empty() ? config_.ring
                                     : config_.shard_rings[static_cast<std::size_t>(k)];
-    const auto exchange =
-        (config_.backend == Backend::kTokenRing && rcfg.wire == membership::WireFormat::kV3)
-            ? vstoto::ExchangeMode::kDigestDelta
-            : vstoto::ExchangeMode::kFullSummary;
+    const auto exchange = config_.backend == Backend::kTokenRing
+                              ? config_.exchange
+                              : vstoto::ExchangeMode::kFullSummary;
     shard.stack = std::make_unique<to::Stack>(*shard.vs, *shard.recorder, config_.quorums,
                                               config_.n0, exchange);
     shard.stack->bind_metrics(*shard.metrics);

@@ -43,6 +43,12 @@ struct WorldConfig {
   Backend backend = Backend::kTokenRing;
   vs::SpecVSConfig spec_vs;
   membership::TokenRingConfig ring;
+  /// VStoTO state-exchange protocol of every shard on the ring backend:
+  /// digest/delta (default) or the Figure 8 whole-summary exchange, which
+  /// chaos_runner --cross-check runs against it on identical frames. The
+  /// spec backend always runs the full-summary exchange (its verifier
+  /// decodes whole summaries from VS payloads) and ignores this field.
+  vstoto::ExchangeMode exchange = vstoto::ExchangeMode::kDigestDelta;
   /// Number of independent VStoTO stacks (shards) sharing this World's one
   /// simulator, failure table and network. Each shard runs its own token
   /// ring on its own network port (frames never cross shards) and its own

@@ -81,7 +81,7 @@ void Node::dispatch(ProcId src, const util::Buffer& packet) {
              << decoded.error;
     return;
   }
-  auto& pkt = decoded.packet;
+  auto& pkt = decoded.value;
   if (const auto* c = std::get_if<Call>(&*pkt))
     handle_call(src, *c);
   else if (const auto* r = std::get_if<CallReply>(&*pkt))
@@ -127,7 +127,7 @@ void Node::initiate_proposal() {
   if (auto* tracer = parent_->tracer())
     tracer->view_proposed(me_, prop_gid_, last_propose_);
   VSG_DEBUG << "node " << me_ << " proposes view " << core::to_string(prop_gid_);
-  parent_->network().broadcast(me_, encode_packet(Packet{Call{prop_gid_}}, cfg.wire));
+  parent_->network().broadcast(me_, encode_packet(Packet{Call{prop_gid_}}));
   parent_->simulator().after(cfg.formation_wait(),
                              [this, gid = prop_gid_] { on_proposal_deadline(gid); });
 }
@@ -159,7 +159,7 @@ void Node::initiate_one_round() {
   others.erase(std::remove(others.begin(), others.end(), me_), others.end());
   if (!others.empty())
     parent_->network().multicast(me_, others,
-                                 encode_packet(Packet{ViewAnnounce{v}}, cfg.wire));
+                                 encode_packet(Packet{ViewAnnounce{v}}));
   install_view(v, /*initial=*/false);
 }
 
@@ -171,7 +171,7 @@ void Node::handle_call(ProcId src, const Call& c) {
   if (!promised_.has_value() || c.gid > *promised_) {
     promised_ = c.gid;
     parent_->network().send(me_, src,
-                            encode_packet(Packet{CallReply{c.gid}}, parent_->config().wire));
+                            encode_packet(Packet{CallReply{c.gid}}));
     // A concurrent lower proposal of ours can no longer win: abandon it.
     if (proposing_ && c.gid > prop_gid_) proposing_ = false;
   }
@@ -193,7 +193,7 @@ void Node::on_proposal_deadline(core::ViewId gid) {
   others.erase(std::remove(others.begin(), others.end(), me_), others.end());
   if (!others.empty())
     parent_->network().multicast(
-        me_, others, encode_packet(Packet{ViewAnnounce{v}}, parent_->config().wire));
+        me_, others, encode_packet(Packet{ViewAnnounce{v}}));
   install_view(v, /*initial=*/false);
 }
 
@@ -271,7 +271,7 @@ void Node::probe_tick() {
       for (ProcId q = 0; q < parent_->size(); ++q)
         if (q != me_ && !view_->contains(q)) dests.push_back(q);
       if (!dests.empty()) {
-        parent_->network().multicast(me_, dests, encode_packet(Packet{Probe{view_->id}}, cfg.wire));
+        parent_->network().multicast(me_, dests, encode_packet(Packet{Probe{view_->id}}));
         stats_.probes_sent += dests.size();
         obs::bump(parent_->obs().probes_sent, dests.size());
       }

@@ -95,11 +95,10 @@ struct TokenRingConfig {
   /// 0 (default) leaves the gate off and registers no gate metrics.
   std::size_t admission_max_backlog = 0;
 
-  /// Wire version every packet this node encodes is framed as (docs/
-  /// WIRE.md). Decoders accept all known versions regardless; recorded
-  /// chaos scenarios pin this (`config wire N`) to the version they were
-  /// minimized under so replays stay byte-for-byte reproducible.
-  WireFormat wire = kDefaultWireFormat;
+  /// The frame layout every packet is encoded in (docs/WIRE.md). Fixed:
+  /// the ring speaks one layout, so this is read-only, kept for readers
+  /// such as perfbench that compare against it.
+  static constexpr WireFormat wire = kWireFormat;
 
   /// Logical network port this ring instance claims on the shared
   /// substrate (net::Port). Each shard's ring runs on its own port, so a

@@ -16,174 +16,102 @@ std::uint32_t frame_checksum(std::uint8_t version, util::BufferView body) noexce
 }
 
 using Entries = std::vector<std::pair<ProcId, util::Buffer>>;
+constexpr WireFormat kLayout = kWireFormat;
 
-/// True iff the segment cache covers the entries exactly (an empty cache
-/// only matches an entry-less token).
-bool segs_cover(const Token& t) {
+/// True iff the segment cache can drive an encode: it must cover the
+/// entries exactly (an empty cache only matches an entry-less token).
+bool segs_usable(const Token& t) {
   std::size_t sum = 0;
   for (const auto& s : t.entries_segs) sum += s.count;
   return sum == t.entries.size() && (!t.entries_segs.empty() || t.entries.empty());
 }
 
-/// True iff the segment cache can drive an encode at version `w`: it must
-/// cover the entries, and any *warm* images must carry w's run layout
-/// (v2 and v3 runs differ). A cache whose segments are all cold has no
-/// layout commitment — it is usable at any version and restamped when its
-/// segments are first warmed.
-bool segs_usable(const Token& t, WireFormat w) {
-  if (!segs_cover(t)) return false;
-  if (t.segs_version == static_cast<std::uint8_t>(w)) return true;
-  for (const auto& s : t.entries_segs)
-    if (!s.wire.empty()) return false;
-  return true;
-}
-
-/// Exact wire size of entries [off, off+count) as maximal same-source runs.
-/// v2: `u32 src | u32 count` run header, u32-length-prefixed payloads.
-/// v3: uvarint src/count, uvarint-length-prefixed payloads.
-std::size_t range_size(const Entries& entries, std::size_t off, std::size_t count,
-                       WireFormat w) {
+/// Exact wire size of entries [off, off+count) as maximal same-source runs:
+/// uvarint src/count run header, uvarint-length-prefixed payloads.
+std::size_t range_size(const Entries& entries, std::size_t off, std::size_t count) {
   std::size_t n = 0;
   std::size_t i = off;
   const std::size_t end = off + count;
   while (i < end) {
     std::size_t j = i + 1;
     while (j < end && entries[j].first == entries[i].first) ++j;
-    if (w == WireFormat::kV3) {
-      n += util::uvarint_size(static_cast<std::uint64_t>(entries[i].first));
-      n += util::uvarint_size(j - i);
-      for (; i < j; ++i)
-        n += util::uvarint_size(entries[i].second.size()) + entries[i].second.size();
-    } else {
-      n += 8;  // run header
-      for (; i < j; ++i) n += 4 + entries[i].second.size();
-    }
+    n += util::uvarint_size(static_cast<std::uint64_t>(entries[i].first));
+    n += util::uvarint_size(j - i);
+    for (; i < j; ++i)
+      n += util::uvarint_size(entries[i].second.size()) + entries[i].second.size();
   }
   return n;
 }
 
-std::size_t entries_section_size_v1(const Token& p) {
-  if (!p.entries_wire.empty()) return p.entries_wire.size();
-  std::size_t n = 4;  // count
-  for (const auto& [src, payload] : p.entries) n += 4 + 4 + payload.size();
-  return n;
-}
-
-/// Segmented entries section size (v2/v3): total-count prefix plus per-
-/// segment warm image or rebuilt-run size. Must agree with BodyEncoder's
-/// splice-vs-rebuild choice, so both go through segs_usable.
-std::size_t entries_section_size_segmented(const Token& p, WireFormat w) {
-  std::size_t n = w == WireFormat::kV3 ? util::uvarint_size(p.entries.size()) : 4;
-  if (segs_usable(p, w)) {
+/// Entries section size: total-count prefix plus per-segment warm image or
+/// rebuilt-run size. Must agree with BodyEncoder's splice-vs-rebuild
+/// choice, so both go through segs_usable.
+std::size_t entries_section_size(const Token& p) {
+  std::size_t n = util::uvarint_size(p.entries.size());
+  if (segs_usable(p)) {
     std::size_t off = 0;
     for (const auto& s : p.entries_segs) {
-      n += s.wire.empty() ? range_size(p.entries, off, s.count, w) : s.wire.size();
+      n += s.wire.empty() ? range_size(p.entries, off, s.count) : s.wire.size();
       off += s.count;
     }
   } else {
-    n += range_size(p.entries, 0, p.entries.size(), w);
+    n += range_size(p.entries, 0, p.entries.size());
   }
   return n;
 }
 
-std::size_t delivered_size(const Token& p, WireFormat w) {
-  if (w != WireFormat::kV3) return 4 + 8 * p.delivered.size();
-  std::size_t n = util::uvarint_size(p.delivered.size());
+/// Token body size minus the entries section (gid, lap, base, delivered).
+std::size_t token_scalar_size(const Token& p) {
+  std::size_t n = wire::Codec<core::ViewId>::size(p.gid, kLayout) + util::uvarint_size(p.lap) +
+                  util::uvarint_size(p.base) + util::uvarint_size(p.delivered.size());
   for (const auto& [r, count] : p.delivered)
     n += util::uvarint_size(static_cast<std::uint64_t>(r)) + util::uvarint_size(count);
   return n;
 }
 
-/// Token body size minus the entries section (gid, lap, base, delivered).
-std::size_t token_scalar_size(const Token& p, WireFormat w) {
-  std::size_t n = wire::Codec<core::ViewId>::size(p.gid, w);
-  n += w == WireFormat::kV3 ? util::uvarint_size(p.lap) + util::uvarint_size(p.base)
-                            : 4 + 4;
-  return n + delivered_size(p, w);
-}
-
 struct BodySize {
-  WireFormat w;
   std::size_t operator()(const Call& p) const {
-    return 1 + wire::Codec<core::ViewId>::size(p.gid, w);
+    return 1 + wire::Codec<core::ViewId>::size(p.gid, kLayout);
   }
   std::size_t operator()(const CallReply& p) const {
-    return 1 + wire::Codec<core::ViewId>::size(p.gid, w);
+    return 1 + wire::Codec<core::ViewId>::size(p.gid, kLayout);
   }
   std::size_t operator()(const ViewAnnounce& p) const {
-    return 1 + wire::Codec<core::View>::size(p.view, w);
+    return 1 + wire::Codec<core::View>::size(p.view, kLayout);
   }
   std::size_t operator()(const Token& p) const {
-    const std::size_t entries = w == WireFormat::kV1
-                                    ? entries_section_size_v1(p)
-                                    : entries_section_size_segmented(p, w);
-    return 1 + token_scalar_size(p, w) + entries;
+    return 1 + token_scalar_size(p) + entries_section_size(p);
   }
   std::size_t operator()(const Probe& p) const {
-    return 1 + 1 + (p.gid ? wire::Codec<core::ViewId>::size(*p.gid, w) : 0);
+    return 1 + 1 + (p.gid ? wire::Codec<core::ViewId>::size(*p.gid, kLayout) : 0);
   }
 };
 
-/// Serialize entries [off, off+count) as maximal same-source runs under
-/// version `w` (shared by the cache-aware BodyEncoder and Codec<Token>).
+/// Serialize entries [off, off+count) as maximal same-source runs.
 void encode_runs(util::Encoder& e, const Entries& entries, std::size_t off,
-                 std::size_t count, WireFormat w) {
+                 std::size_t count) {
   std::size_t i = off;
   const std::size_t end = off + count;
   while (i < end) {
     std::size_t j = i + 1;
     while (j < end && entries[j].first == entries[i].first) ++j;
-    if (w == WireFormat::kV3) {
-      e.uvarint(static_cast<std::uint64_t>(entries[i].first));
-      e.uvarint(j - i);
-      for (; i < j; ++i) e.vraw(entries[i].second.view());
-    } else {
-      e.u32(static_cast<std::uint32_t>(entries[i].first));
-      e.u32(static_cast<std::uint32_t>(j - i));
-      for (; i < j; ++i) e.raw(entries[i].second.view());
-    }
-  }
-}
-
-void encode_token_prefix(util::Encoder& e, const Token& p, WireFormat w) {
-  wire::Codec<core::ViewId>::encode(e, p.gid, w);
-  if (w == WireFormat::kV3) {
-    e.uvarint(p.lap);
-    e.uvarint(p.base);
-  } else {
-    e.u32(p.lap);
-    e.u32(p.base);
-  }
-}
-
-void encode_token_delivered(util::Encoder& e, const Token& p, WireFormat w) {
-  if (w == WireFormat::kV3) {
-    e.uvarint(p.delivered.size());
-    for (const auto& [r, count] : p.delivered) {
-      e.uvarint(static_cast<std::uint64_t>(r));
-      e.uvarint(count);
-    }
-  } else {
-    e.u32(static_cast<std::uint32_t>(p.delivered.size()));
-    for (const auto& [r, count] : p.delivered) {
-      e.u32(static_cast<std::uint32_t>(r));
-      e.u32(count);
-    }
+    e.uvarint(static_cast<std::uint64_t>(entries[i].first));
+    e.uvarint(j - i);
+    for (; i < j; ++i) e.vraw(entries[i].second.view());
   }
 }
 
 struct BodyEncoder {
   util::Encoder& e;
-  WireFormat w;
   WireEncodeStats* stats;
 
   // Bounds of cold (rebuilt-from-structs) entry regions within the packet,
-  // recorded so encode_packet can warm the caches off the finished buffer.
+  // recorded so encode_packet can warm the cache off the finished buffer.
   std::size_t entries_begin = 0;
   std::size_t entries_end = 0;
-  bool rebuilt_whole = false;  // v2/v3: segment cache was unusable; one region
+  bool rebuilt_whole = false;  // the segment cache was unusable; one region
   std::vector<std::pair<std::size_t, std::pair<std::size_t, std::size_t>>>
-      cold_spans;  // v2/v3: (segment index, [begin, end) in packet)
+      cold_spans;  // (segment index, [begin, end) in packet)
 
   void note(std::uint64_t rebuilt, std::uint64_t spliced) const {
     if (stats != nullptr) {
@@ -194,68 +122,54 @@ struct BodyEncoder {
 
   void operator()(const Call& p) {
     e.u8(kTagCall);
-    wire::Codec<core::ViewId>::encode(e, p.gid, w);
+    wire::Codec<core::ViewId>::encode(e, p.gid, kLayout);
   }
   void operator()(const CallReply& p) {
     e.u8(kTagCallReply);
-    wire::Codec<core::ViewId>::encode(e, p.gid, w);
+    wire::Codec<core::ViewId>::encode(e, p.gid, kLayout);
   }
   void operator()(const ViewAnnounce& p) {
     e.u8(kTagViewAnnounce);
-    wire::Codec<core::View>::encode(e, p.view, w);
+    wire::Codec<core::View>::encode(e, p.view, kLayout);
   }
   void operator()(const Token& p) {
     e.u8(kTagToken);
-    encode_token_prefix(e, p, w);
-    if (w == WireFormat::kV1) {
-      entries_begin = e.size();
-      if (!p.entries_wire.empty()) {
-        // Warm cache: splice the encoded entries section verbatim.
-        e.append(p.entries_wire.view());
-        note(0, p.entries.size());
-      } else {
-        e.u32(static_cast<std::uint32_t>(p.entries.size()));
-        for (const auto& [src, payload] : p.entries) {
-          e.u32(static_cast<std::uint32_t>(src));
-          e.raw(payload.view());
+    wire::Codec<core::ViewId>::encode(e, p.gid, kLayout);
+    e.uvarint(p.lap);
+    e.uvarint(p.base);
+    e.uvarint(p.entries.size());
+    if (segs_usable(p)) {
+      std::size_t off = 0;
+      for (std::size_t k = 0; k < p.entries_segs.size(); ++k) {
+        const TokenSeg& seg = p.entries_segs[k];
+        if (!seg.wire.empty()) {
+          e.append(seg.wire.view());
+          note(0, seg.count);
+        } else {
+          const std::size_t begin = e.size();
+          encode_runs(e, p.entries, off, seg.count);
+          cold_spans.push_back({k, {begin, e.size()}});
+          note(seg.count, 0);
         }
-        note(p.entries.size(), 0);
+        off += seg.count;
       }
-      entries_end = e.size();
     } else {
-      if (w == WireFormat::kV3)
-        e.uvarint(p.entries.size());
-      else
-        e.u32(static_cast<std::uint32_t>(p.entries.size()));
-      if (segs_usable(p, w)) {
-        std::size_t off = 0;
-        for (std::size_t k = 0; k < p.entries_segs.size(); ++k) {
-          const TokenSeg& seg = p.entries_segs[k];
-          if (!seg.wire.empty()) {
-            e.append(seg.wire.view());
-            note(0, seg.count);
-          } else {
-            const std::size_t begin = e.size();
-            encode_runs(e, p.entries, off, seg.count, w);
-            cold_spans.push_back({k, {begin, e.size()}});
-            note(seg.count, 0);
-          }
-          off += seg.count;
-        }
-      } else {
-        rebuilt_whole = true;
-        entries_begin = e.size();
-        encode_runs(e, p.entries, 0, p.entries.size(), w);
-        entries_end = e.size();
-        note(p.entries.size(), 0);
-      }
+      rebuilt_whole = true;
+      entries_begin = e.size();
+      encode_runs(e, p.entries, 0, p.entries.size());
+      entries_end = e.size();
+      note(p.entries.size(), 0);
     }
-    encode_token_delivered(e, p, w);
+    e.uvarint(p.delivered.size());
+    for (const auto& [r, count] : p.delivered) {
+      e.uvarint(static_cast<std::uint64_t>(r));
+      e.uvarint(count);
+    }
   }
   void operator()(const Probe& p) {
     e.u8(kTagProbe);
     e.boolean(p.gid.has_value());
-    if (p.gid) wire::Codec<core::ViewId>::encode(e, *p.gid, w);
+    if (p.gid) wire::Codec<core::ViewId>::encode(e, *p.gid, kLayout);
   }
 };
 
@@ -263,7 +177,6 @@ struct BodyEncoder {
 
 void Token::note_boarded(std::size_t n) {
   if (n == 0) return;
-  entries_wire = util::Buffer{};
   std::size_t covered = 0;
   for (const auto& s : entries_segs) covered += s.count;
   // The cache was valid before the append iff it covered everything but the
@@ -277,7 +190,6 @@ void Token::note_boarded(std::size_t n) {
 
 void Token::note_trimmed(std::size_t n) {
   if (n == 0) return;
-  entries_wire = util::Buffer{};
   std::size_t drop = n;
   while (drop > 0 && !entries_segs.empty()) {
     TokenSeg& front = entries_segs.front();
@@ -295,47 +207,36 @@ void Token::note_trimmed(std::size_t n) {
   if (drop > 0) entries_segs.clear();  // cache did not cover the trim: invalid
 }
 
-void Token::invalidate_wire_caches() const {
-  entries_wire = util::Buffer{};
-  entries_segs.clear();
-  segs_version = 0;
+std::size_t encoded_packet_size(const Packet& pkt) {
+  return kFrameHeaderSize + std::visit(BodySize{}, pkt);
 }
 
-std::size_t encoded_packet_size(const Packet& pkt, WireFormat w) {
-  return kFrameHeaderSize + std::visit(BodySize{w}, pkt);
-}
-
-util::Buffer encode_packet(const Packet& pkt, WireFormat w, WireEncodeStats* stats) {
-  const std::size_t body_size = std::visit(BodySize{w}, pkt);
+util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats) {
+  const std::size_t body_size = std::visit(BodySize{}, pkt);
+  const auto version = static_cast<std::uint8_t>(kLayout);
   util::Encoder e;
   e.reserve(kFrameHeaderSize + body_size);
   wire::Codec<FrameHeader>::encode(
-      e, FrameHeader{static_cast<std::uint8_t>(w), 0,
-                     static_cast<std::uint32_t>(body_size)},
-      w);  // checksum 0: back-patched below
-  BodyEncoder enc{e, w, stats, 0, 0, false, {}};
+      e, FrameHeader{version, 0, static_cast<std::uint32_t>(body_size)},
+      kLayout);  // checksum 0: back-patched below
+  BodyEncoder enc{e, stats, 0, 0, false, {}};
   std::visit(enc, pkt);
-  e.patch_u32(1, frame_checksum(static_cast<std::uint8_t>(w),
+  e.patch_u32(1, frame_checksum(version,
                                 util::BufferView(e.bytes().data() + kFrameHeaderSize,
                                                  e.size() - kFrameHeaderSize)));
   util::Buffer packet = e.finish();
   if (const Token* t = std::get_if<Token>(&pkt); t != nullptr) {
     // Warm whatever was rebuilt, as zero-copy slices of the packet.
-    if (w == WireFormat::kV1) {
-      if (t->entries_wire.empty())
-        t->entries_wire = packet.slice(enc.entries_begin, enc.entries_end - enc.entries_begin);
-    } else if (enc.rebuilt_whole) {
+    if (enc.rebuilt_whole) {
       t->entries_segs.clear();
       if (!t->entries.empty())
         t->entries_segs.push_back(
             TokenSeg{static_cast<std::uint32_t>(t->entries.size()),
                      packet.slice(enc.entries_begin, enc.entries_end - enc.entries_begin)});
-      t->segs_version = static_cast<std::uint8_t>(w);
     } else {
       for (const auto& [seg_index, span] : enc.cold_spans)
         t->entries_segs[seg_index].wire =
             packet.slice(span.first, span.second - span.first);
-      t->segs_version = static_cast<std::uint8_t>(w);
     }
   }
   return packet;
@@ -343,71 +244,51 @@ util::Buffer encode_packet(const Packet& pkt, WireFormat w, WireEncodeStats* sta
 
 namespace {
 
-/// Decode the token body after the common gid/lap/base prefix. `d` reads the
-/// frame body; caches are warmed with slices of it (zero-copy). Returns
-/// false iff the entries section is malformed under strict decoding.
-bool decode_token_entries(util::Decoder& d, WireFormat w, bool strict, Token& p) {
-  if (w == WireFormat::kV1) {
-    const std::size_t entries_begin = d.pos();
-    const std::uint32_t ne = d.u32();
-    for (std::uint32_t i = 0; i < ne && d.ok(); ++i) {
-      const auto src = static_cast<ProcId>(d.u32());
-      p.entries.emplace_back(src, d.raw_buffer());  // slice, not copy
-    }
-    const std::size_t entries_end = d.pos();
-    if (d.ok()) p.entries_wire = d.input_slice(entries_begin, entries_end);
-    return true;
-  }
-  const bool v3 = w == WireFormat::kV3;
-  const std::uint64_t total = v3 ? d.uvarint() : d.u32();
+/// Decode the token entries section. `d` reads the frame body; the segment
+/// cache is warmed with slices of it (zero-copy). Returns false iff the
+/// section is malformed under strict decoding.
+bool decode_token_entries(util::Decoder& d, bool strict, Token& p) {
+  const std::uint64_t total = d.uvarint();
   std::size_t acc = 0;
   bool malformed = false;
   std::vector<std::pair<std::size_t, std::size_t>> seg_spans;
   std::vector<std::uint32_t> seg_counts;
   while (acc < total && d.ok()) {
     const std::size_t seg_begin = d.pos();
-    const auto src = static_cast<ProcId>(v3 ? d.uvarint() : d.u32());
-    const std::uint64_t count = v3 ? d.uvarint() : d.u32();
+    const auto src = static_cast<ProcId>(d.uvarint());
+    const std::uint64_t count = d.uvarint();
     if (!d.ok()) break;
     if (count == 0 || acc + count > total) {
       malformed = true;  // zero-length or overrunning segment
       break;
     }
     for (std::uint64_t i = 0; i < count && d.ok(); ++i)
-      p.entries.emplace_back(src, v3 ? d.vraw_buffer() : d.raw_buffer());
+      p.entries.emplace_back(src, d.vraw_buffer());
     acc += count;
     seg_spans.emplace_back(seg_begin, d.pos());
     seg_counts.push_back(static_cast<std::uint32_t>(count));
   }
   const bool complete = !malformed && acc == total && d.ok();
   if (strict && !complete) return false;
-  if (complete) {
+  if (complete)
     for (std::size_t k = 0; k < seg_counts.size(); ++k)
       p.entries_segs.push_back(
           TokenSeg{seg_counts[k], d.input_slice(seg_spans[k].first, seg_spans[k].second)});
-    p.segs_version = static_cast<std::uint8_t>(w);
-  }
   return true;
 }
 
-/// Shared token-body decode (everything after the tag byte). Returns false
-/// iff the entries section was rejected; other field damage is left in the
+/// Token body decode (everything after the tag byte). Returns false iff the
+/// entries section was rejected; other field damage is left in the
 /// decoder's ok() as usual.
-bool decode_token_body(util::Decoder& d, WireFormat w, bool strict, Token& p) {
-  p.gid = wire::Codec<core::ViewId>::decode(d, w);
-  if (w == WireFormat::kV3) {
-    p.lap = static_cast<std::uint32_t>(d.uvarint());
-    p.base = static_cast<std::uint32_t>(d.uvarint());
-  } else {
-    p.lap = d.u32();
-    p.base = d.u32();
-  }
-  if (!decode_token_entries(d, w, strict, p)) return false;
-  const std::uint64_t nd = w == WireFormat::kV3 ? d.uvarint() : d.u32();
+bool decode_token_body(util::Decoder& d, bool strict, Token& p) {
+  p.gid = wire::Codec<core::ViewId>::decode(d, kLayout);
+  p.lap = static_cast<std::uint32_t>(d.uvarint());
+  p.base = static_cast<std::uint32_t>(d.uvarint());
+  if (!decode_token_entries(d, strict, p)) return false;
+  const std::uint64_t nd = d.uvarint();
   for (std::uint64_t i = 0; i < nd && d.ok(); ++i) {
-    const auto r = static_cast<ProcId>(w == WireFormat::kV3 ? d.uvarint() : d.u32());
-    p.delivered[r] =
-        static_cast<std::uint32_t>(w == WireFormat::kV3 ? d.uvarint() : d.u32());
+    const auto r = static_cast<ProcId>(d.uvarint());
+    p.delivered[r] = static_cast<std::uint32_t>(d.uvarint());
   }
   return true;
 }
@@ -417,8 +298,8 @@ bool decode_token_body(util::Decoder& d, WireFormat w, bool strict, Token& p) {
 DecodeOutcome decode_packet_ex(const util::Buffer& packet) {
   // util::unchecked_decode() re-enables the historical accept-anything bug
   // (no checksum, truncated fields read as zero) for chaos-oracle demos.
-  // The wire version byte is validated unconditionally: an unknown version
-  // must never be interpreted under some other version's layout.
+  // The wire version byte is validated unconditionally: bytes framed under
+  // any other layout must never be interpreted under v3's.
   const bool strict = !util::unchecked_decode();
   DecodeOutcome out;
   if (packet.empty()) {
@@ -426,15 +307,19 @@ DecodeOutcome decode_packet_ex(const util::Buffer& packet) {
     return out;
   }
   const std::uint8_t version = packet[0];
-  if (!wire::known_version(version)) {
-    out.error = "unknown wire version " + std::to_string(version) +
-                " (this build speaks v1, v2, and v3; see docs/WIRE.md)";
+  if (version == 1 || version == 2) {
+    out.error = "retired wire version " + std::to_string(version) +
+                " (this build speaks v3 only; see docs/WIRE.md, \"Retired versions\")";
     return out;
   }
-  const WireFormat w = static_cast<WireFormat>(version);
+  if (version != static_cast<std::uint8_t>(kLayout)) {
+    out.error = "unknown wire version " + std::to_string(version) +
+                " (this build speaks v3 only; see docs/WIRE.md)";
+    return out;
+  }
 
   util::Decoder frame(packet);
-  const FrameHeader header = wire::Codec<FrameHeader>::decode(frame, w);
+  const FrameHeader header = wire::Codec<FrameHeader>::decode(frame, kLayout);
   const util::Buffer body =
       frame.input_slice(kFrameHeaderSize, kFrameHeaderSize + header.body_len);
   if (strict &&
@@ -458,41 +343,41 @@ DecodeOutcome decode_packet_ex(const util::Buffer& packet) {
   };
   switch (tag) {
     case kTagCall: {
-      Call p{wire::Codec<core::ViewId>::decode(d, w)};
+      Call p{wire::Codec<core::ViewId>::decode(d, kLayout)};
       if (reject_incomplete("call")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     case kTagCallReply: {
-      CallReply p{wire::Codec<core::ViewId>::decode(d, w)};
+      CallReply p{wire::Codec<core::ViewId>::decode(d, kLayout)};
       if (reject_incomplete("call-reply")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     case kTagViewAnnounce: {
-      ViewAnnounce p{wire::Codec<core::View>::decode(d, w)};
+      ViewAnnounce p{wire::Codec<core::View>::decode(d, kLayout)};
       if (reject_incomplete("view-announce")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     case kTagToken: {
       Token p;
-      if (!decode_token_body(d, w, strict, p)) {
-        out.error = std::string("malformed ") + to_string(w) + " token entries section";
+      if (!decode_token_body(d, strict, p)) {
+        out.error = "malformed token entries section";
         return out;
       }
       if (strict && !d.complete()) {
         out.error = "malformed token body";
         return out;
       }
-      out.packet = Packet{std::move(p)};
+      out.value = Packet{std::move(p)};
       return out;
     }
     case kTagProbe: {
       Probe p;
-      if (d.boolean()) p.gid = wire::Codec<core::ViewId>::decode(d, w);
+      if (d.boolean()) p.gid = wire::Codec<core::ViewId>::decode(d, kLayout);
       if (reject_incomplete("probe")) return out;
-      out.packet = Packet{p};
+      out.value = Packet{p};
       return out;
     }
     default:
@@ -502,7 +387,7 @@ DecodeOutcome decode_packet_ex(const util::Buffer& packet) {
 }
 
 std::optional<Packet> decode_packet(const util::Buffer& packet) {
-  return decode_packet_ex(packet).packet;
+  return decode_packet_ex(packet).value;
 }
 
 std::optional<Packet> decode_packet(const util::Bytes& bytes) {
@@ -533,47 +418,6 @@ membership::FrameHeader Codec<membership::FrameHeader>::decode(util::Decoder& d,
   h.checksum = d.u32();
   h.body_len = d.u32();
   return h;
-}
-
-std::size_t Codec<membership::Token>::size(const membership::Token& t, Version w) {
-  // Plain (cache-blind) size, matching this codec's always-rebuild encode:
-  // whole-range runs can be shorter than per-segment warm images when
-  // adjacent segments share a source.
-  std::size_t entries;
-  if (w == Version::kV1) {
-    entries = 4;
-    for (const auto& [src, payload] : t.entries) entries += 4 + 4 + payload.size();
-  } else {
-    entries = (w == Version::kV3 ? util::uvarint_size(t.entries.size()) : 4) +
-              membership::range_size(t.entries, 0, t.entries.size(), w);
-  }
-  return membership::token_scalar_size(t, w) + entries;
-}
-
-void Codec<membership::Token>::encode(util::Encoder& e, const membership::Token& t,
-                                      Version w) {
-  membership::encode_token_prefix(e, t, w);
-  if (w == Version::kV1) {
-    e.u32(static_cast<std::uint32_t>(t.entries.size()));
-    for (const auto& [src, payload] : t.entries) {
-      e.u32(static_cast<std::uint32_t>(src));
-      e.raw(payload.view());
-    }
-  } else {
-    if (w == Version::kV3)
-      e.uvarint(t.entries.size());
-    else
-      e.u32(static_cast<std::uint32_t>(t.entries.size()));
-    membership::encode_runs(e, t.entries, 0, t.entries.size(), w);
-  }
-  membership::encode_token_delivered(e, t, w);
-}
-
-membership::Token Codec<membership::Token>::decode(util::Decoder& d, Version w) {
-  membership::Token t;
-  const bool strict = !util::unchecked_decode();
-  if (!membership::decode_token_body(d, w, strict, t)) d.fail();
-  return t;
 }
 
 }  // namespace vsg::wire

@@ -5,14 +5,13 @@
 // circulating token that carries the per-view message order and per-member
 // delivery counters, and the merge probe.
 //
-// Every packet travels in a versioned checksummed frame; the byte-level
-// layouts (frame header, v1 flat entries, v2 batched entry segments, v3
-// varint bodies) are specified in docs/WIRE.md. The wire version is an
-// encoding choice (TokenRingConfig::wire); decoders accept every known
-// version and reject unknown version bytes loudly regardless of the chaos
-// unchecked-decode injection. Byte layouts live in wire::Codec
-// specializations (core/codec.hpp plus the Token/FrameHeader codecs below);
-// this header's free functions are the packet-level entry points over them.
+// Every packet travels in a checksummed frame with one layout, v3 (varint
+// bodies, same-source token entry segments), specified in docs/WIRE.md.
+// Decoders accept only version byte 3: the retired v1/v2 bytes and unknown
+// ones are rejected loudly, regardless of the chaos unchecked-decode
+// injection. Byte layouts live in wire::Codec specializations
+// (core/codec.hpp plus the FrameHeader codec below); this header's free
+// functions are the packet-level entry points over them.
 
 #include <map>
 #include <optional>
@@ -27,24 +26,17 @@
 
 namespace vsg::membership {
 
-/// The frame-header version set and names now live in wire::Version
-/// (core/codec.hpp); membership keeps its historical aliases.
+/// Byte layouts live in wire::Version (core/codec.hpp); membership keeps
+/// its historical alias.
 using WireFormat = wire::Version;
-using wire::to_string;
 
-// v3 (varint/delta frame bodies + digest/delta state exchange) became the
-// default after its evaluation PR shipped a 22.9x state-exchange-bytes
-// drop at identical deliveries and a full v2-vs-v3 cross-checked campaign;
-// docs/WIRE.md records the flip recipe. v1/v2 remain fully decodable and
-// encodable (TokenRingConfig::wire / scenario `config wire` pins).
-constexpr WireFormat kDefaultWireFormat = WireFormat::kV3;
+/// The one frame layout: every packet is framed with this version byte.
+inline constexpr WireFormat kWireFormat = WireFormat::kV3;
 
 /// The fixed-width frame prelude every packet starts with:
-/// u8 version | u32 checksum | u32 body length (9 bytes under every
-/// version, so the checksum can be back-patched in place). The checksum
-/// covers the version byte and the body, so corrupting the version byte
-/// into another *known* version can never reinterpret the body under the
-/// wrong layout.
+/// u8 version | u32 checksum | u32 body length (9 bytes, so the checksum
+/// can be back-patched in place). The checksum covers the version byte and
+/// the body.
 struct FrameHeader {
   std::uint8_t version = 0;
   std::uint32_t checksum = 0;
@@ -74,8 +66,8 @@ struct ViewAnnounce {
 
 /// One cached batch of the segmented entries section: `count` consecutive
 /// entries from one source, plus (when warm) their exact wire image — the
-/// segment's run bytes under the version stamped on the owning token, a
-/// slice of the packet that carried them or a one-time encode at boarding.
+/// segment's run bytes, a slice of the packet that carried them or a
+/// one-time encode at boarding.
 /// An empty `wire` marks a cold segment rebuilt (and re-cached) by the next
 /// encode.
 struct TokenSeg {
@@ -96,39 +88,25 @@ struct Token {
   std::vector<std::pair<ProcId, util::Buffer>> entries;
   std::map<ProcId, std::uint32_t> delivered;
 
-  /// v1 wire cache: the encoded entries section (count + flat entries) as
-  /// one buffer. Empty <=> invalid. Any mutation of `entries` must go
-  /// through note_boarded()/note_trimmed(), which keep both caches honest.
-  /// With the cache warm, forwarding a token re-encodes only the mutated
-  /// header/counter fields and splices the payload section verbatim.
-  mutable util::Buffer entries_wire;
-
-  /// Segmented wire cache (v2 and v3): per-batch segments covering
-  /// `entries` front to back (sum of counts == entries.size() whenever
-  /// non-empty). Boarding appends one segment per pass, so the older
-  /// segments stay warm; trimming drops leading segments whole and only the
-  /// split boundary segment goes cold. Empty with non-empty `entries` <=>
-  /// no cache (full rebuild on encode).
+  /// Segmented wire cache: per-batch segments covering `entries` front to
+  /// back (sum of counts == entries.size() whenever non-empty). Boarding
+  /// appends one segment per pass, so the older segments stay warm;
+  /// trimming drops leading segments whole and only the split boundary
+  /// segment goes cold. Empty with non-empty `entries` <=> no cache (full
+  /// rebuild on encode). Any mutation of `entries` must go through
+  /// note_boarded()/note_trimmed(), which keep the cache honest; with it
+  /// warm, forwarding a token re-encodes only the mutated header/counter
+  /// fields and splices the payload segments verbatim.
   mutable std::vector<TokenSeg> entries_segs;
 
-  /// The wire version the warm segment images were encoded under (0 =
-  /// unset: no segment has been warmed yet). v2 and v3 run layouts differ,
-  /// so an encode at a different version than the stamp must not splice the
-  /// warm images — it rebuilds the whole section and restamps.
-  mutable std::uint8_t segs_version = 0;
-
   /// Cache maintenance after appending `n` same-source entries in one
-  /// boarding pass: invalidates the v1 section cache and appends one cold
-  /// segment (or drops the segment cache if it was already invalid).
+  /// boarding pass: appends one cold segment (or drops the segment cache
+  /// if it was already invalid).
   void note_boarded(std::size_t n);
 
-  /// Cache maintenance after erasing the first `n` entries (trim):
-  /// invalidates the v1 section cache; drops covered segments whole and
-  /// marks a split boundary segment cold.
+  /// Cache maintenance after erasing the first `n` entries (trim): drops
+  /// covered segments whole and marks a split boundary segment cold.
   void note_trimmed(std::size_t n);
-
-  /// Drop both wire caches (decoded-state consistency checks in tests).
-  void invalidate_wire_caches() const;
 };
 
 /// Periodic contact attempt towards processors outside the current view;
@@ -142,9 +120,8 @@ using Packet = std::variant<Call, CallReply, ViewAnnounce, Token, Probe>;
 /// Wire-cache accounting for one encode (forward_token aggregates these
 /// into ring.entries_rebuilds / ring.entries_spliced):
 ///  - entries_rebuilt: token entries serialized from structs because no
-///    warm wire image covered them (v1: the whole section on any mutation;
-///    v2/v3: only the entries of cold segments — each payload once, when
-///    its boarding segment is first encoded);
+///    warm wire image covered them (only the entries of cold segments —
+///    each payload once, when its boarding segment is first encoded);
 ///  - entries_spliced: token entries carried by splicing a warm cached wire
 ///    image verbatim.
 struct WireEncodeStats {
@@ -152,34 +129,27 @@ struct WireEncodeStats {
   std::uint64_t entries_spliced = 0;
 };
 
-/// Exact wire size of `pkt` (frame header + body) under wire version `w`.
-/// encode_packet reserves precisely this, so the whole encode costs one
-/// allocation.
-std::size_t encoded_packet_size(const Packet& pkt, WireFormat w = kDefaultWireFormat);
+/// Exact wire size of `pkt` (frame header + body). encode_packet reserves
+/// precisely this, so the whole encode costs one allocation.
+std::size_t encoded_packet_size(const Packet& pkt);
 
 /// Encode with exact measured reserve: one allocation per packet (tests
 /// assert Encoder::allocs() == 1). Version-byte + checksum framed; for a
-/// Token the warm parts of the version-appropriate entries cache are
-/// spliced, and cold parts are rebuilt and re-cached (zero-copy, slices of
-/// the returned packet). `stats`, when non-null, receives the splice/rebuild
-/// accounting of this encode.
-util::Buffer encode_packet(const Packet& pkt, WireFormat w = kDefaultWireFormat,
-                           WireEncodeStats* stats = nullptr);
+/// Token the warm segments of the entries cache are spliced, and cold ones
+/// are rebuilt and re-cached (zero-copy, slices of the returned packet).
+/// `stats`, when non-null, receives the splice/rebuild accounting of this
+/// encode.
+util::Buffer encode_packet(const Packet& pkt, WireEncodeStats* stats = nullptr);
 
-/// decode_packet with a diagnosis: `error` is non-empty iff `packet` is
-/// disengaged, and names the reject reason (unknown wire version, checksum
-/// mismatch, truncation, ...). Unknown version bytes are rejected even when
-/// the chaos unchecked-decode injection is active.
+/// decode_packet with a diagnosis: `error` is non-empty iff `value` is
+/// disengaged, and names the reject reason (retired or unknown wire
+/// version, checksum mismatch, truncation, ...). Any version byte but 3 is
+/// rejected even when the chaos unchecked-decode injection is active.
 ///
 /// This is THE packet decode entry point (docs/WIRE.md, "Decode outcome
 /// contract"): every non-test call site goes through it; the optional
 /// decode_packet shims below exist only for tests.
-/// It predates wire::DecodeOutcome<T> and keeps its `packet` member name.
-struct DecodeOutcome {
-  std::optional<Packet> packet;
-  std::string error;
-  bool ok() const noexcept { return packet.has_value(); }
-};
+using DecodeOutcome = wire::DecodeOutcome<Packet>;
 
 DecodeOutcome decode_packet_ex(const util::Buffer& packet);
 
@@ -197,25 +167,12 @@ std::optional<Packet> decode_packet(const util::Bytes& bytes);
 
 namespace vsg::wire {
 
-/// Fixed 9-byte frame prelude (same layout under every version; the
-/// version argument is the header's own `version` field by convention).
+/// Fixed 9-byte frame prelude (the layout argument is ignored).
 template <>
 struct Codec<membership::FrameHeader> {
   static std::size_t size(const membership::FrameHeader& h, Version w);
   static void encode(util::Encoder& e, const membership::FrameHeader& h, Version w);
   static membership::FrameHeader decode(util::Decoder& d, Version w);
-};
-
-/// Token body (everything after the packet tag byte): gid, lap, base,
-/// entries section, delivered map. Shares the byte layout with
-/// encode_packet/decode_packet_ex but takes the plain always-rebuild path —
-/// the cache-aware splice/warm machinery stays in encode_packet, which owns
-/// the finished packet buffer the caches slice from.
-template <>
-struct Codec<membership::Token> {
-  static std::size_t size(const membership::Token& t, Version w);
-  static void encode(util::Encoder& e, const membership::Token& t, Version w);
-  static membership::Token decode(util::Decoder& d, Version w);
 };
 
 }  // namespace vsg::wire

@@ -123,10 +123,9 @@ void Node::process_token(Token& t) {
   // Urgent payloads submitted by on_gprcv reactions during bulk boarding
   // still get this pass's remaining budget.
   while (!outbox_urgent_.empty() && within_budget()) board_one(outbox_urgent_);
-  // The batch is one same-source run: under wire v2 it becomes a single
-  // cold segment (one splice build per pass; the rest of the cached
-  // entries section stays warm), under v1 it invalidates the whole
-  // section cache — exactly the pre-batching behavior.
+  // The batch is one same-source run: it becomes a single cold segment
+  // (one splice build per pass; the rest of the cached entries section
+  // stays warm).
   t.note_boarded(boarded);
   if (auto* h = parent_->obs().payloads_per_pass) h->observe(static_cast<std::int64_t>(boarded));
   if (auto* h = parent_->obs().board_bytes_per_pass) h->observe(boarded_bytes);
@@ -164,8 +163,7 @@ void Node::process_token(Token& t) {
         std::min<std::size_t>(threshold - t.base, t.entries.size());
     t.entries.erase(t.entries.begin(), t.entries.begin() + static_cast<std::ptrdiff_t>(drop));
     t.base = threshold;
-    // v1: invalidates the whole section cache; v2: drops covered segments
-    // whole, only a split boundary segment goes cold.
+    // Drops covered segments whole; only a split boundary segment goes cold.
     t.note_trimmed(drop);
   }
 
@@ -177,16 +175,13 @@ void Node::process_token(Token& t) {
 
 void Node::forward_token(const Token& t, ProcId to) {
   // The variant copy shares entry storage with t (refcounts, not bytes).
-  // Encoding warms the copy's entries-section wire caches; propagate them
-  // back to t so the next forward of an unmutated token splices instead of
-  // re-encoding (the caches are mutable — cache state, not data).
+  // Encoding warms the copy's entries segment cache; propagate it back to
+  // t so the next forward of an unmutated token splices instead of
+  // re-encoding (the cache is mutable — cache state, not data).
   Packet pkt{t};
   WireEncodeStats wire_stats;
-  util::Buffer packet = encode_packet(pkt, parent_->config().wire, &wire_stats);
-  const Token& encoded = std::get<Token>(pkt);
-  t.entries_wire = encoded.entries_wire;
-  t.entries_segs = encoded.entries_segs;
-  t.segs_version = encoded.segs_version;
+  util::Buffer packet = encode_packet(pkt, &wire_stats);
+  t.entries_segs = std::get<Token>(pkt).entries_segs;
   stats_.entries_rebuilt += wire_stats.entries_rebuilt;
   stats_.entries_spliced += wire_stats.entries_spliced;
   obs::bump(parent_->obs().entries_rebuilds, wire_stats.entries_rebuilt);

@@ -24,7 +24,8 @@ class Stack final : public Service {
   /// Builds and attaches one VStoTO process per processor of `vs_service`.
   /// `n0` is the initial-view size (processors 0..n0-1). `exchange` selects
   /// the state-exchange protocol for every process (see
-  /// vstoto::ExchangeMode; the harness pairs kDigestDelta with wire v3).
+  /// vstoto::ExchangeMode; harness::World passes WorldConfig::exchange on
+  /// the ring backend and kFullSummary on the spec backend).
   Stack(vs::Service& vs_service, trace::Recorder& recorder,
         std::shared_ptr<const core::QuorumSystem> quorums, int n0,
         vstoto::ExchangeMode exchange = vstoto::ExchangeMode::kFullSummary);

@@ -72,7 +72,7 @@ const char* to_string(PStatus s) noexcept;
 
 /// How a process ships its state on newview. kFullSummary is the paper's
 /// literal gpsnd(x): the whole summary in one message. kDigestDelta is the
-/// two-phase anti-entropy exchange (docs/WIRE.md, "v3 state exchange"): a
+/// two-phase anti-entropy exchange (docs/WIRE.md, "Digest/delta state exchange"): a
 /// compact digest first, then — once every member's digest is in — one
 /// delta against the pointwise-weakest digest, reconstructed by receivers
 /// via core::apply_delta against their own frozen exchange base. The

@@ -4,9 +4,10 @@ namespace vsg::vstoto {
 
 namespace {
 
-// Digest and delta payloads are new in the v3 exchange and have no legacy
-// fixed-width layout to preserve, so their bodies are always varint-coded
-// (wire::Version::kV3) regardless of the frame version that carries them.
+// Digest and delta payloads exist only in the digest/delta exchange and
+// have no fixed-width layout, so their bodies are always varint-coded
+// (wire::Version::kV3). Labeled values and full summaries keep the
+// fixed-width payload body layout (core::encode).
 constexpr wire::Version kCompactBody = wire::Version::kV3;
 
 }  // namespace

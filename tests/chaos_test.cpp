@@ -534,11 +534,11 @@ TEST(Campaign, InjectedDecodeBugIsCaughtShrunkAndReplayable) {
   CampaignConfig cfg;
   cfg.schedule = small_schedule();
   // Seeds 133..142 cover seed 138, a known hit for the injected bug under
-  // the smoke-preset schedule and the default (v3) wire layout (found by
-  // `chaos_runner --seeds 200 --smoke --inject-unchecked-decode`; the v1
-  // layout's hit was seed 75, and which corruption offsets slip past an
-  // unchecked decoder depends on the byte layout). The surrounding seeds
-  // keep the campaign honest about clean runs.
+  // the smoke-preset schedule and the v3 frame layout (found by
+  // `chaos_runner --seeds 200 --smoke --inject-unchecked-decode`; which
+  // corruption offsets slip past an unchecked decoder depends on the byte
+  // layout). The surrounding seeds keep the campaign honest about clean
+  // runs.
   cfg.first_seed = 133;
   cfg.seeds = 10;
   cfg.shrink_options.max_candidates = 150;

@@ -1,9 +1,9 @@
-// The versioned Codec API (core/codec.hpp): one Codec<T> per wire type,
-// selected by the frame's version byte. Pins (a) round trips under every
-// version with exact size accounting, (b) byte-identity between the legacy
-// free-function shims and the v2 codec, (c) golden v3 bytes so the compact
-// layout cannot drift silently, and (d) the v3-smaller claim the whole PR
-// rests on.
+// The Codec API (core/codec.hpp): one Codec<T> per wire type, one switch
+// over its layouts. Pins (a) round trips under every layout a type has,
+// with exact size accounting, (b) the fixed-width VSTOTO payload bytes the
+// pinned fingerprints hash, byte for byte, through the core::encode shims,
+// (c) golden v3 bytes so the compact layout cannot drift silently, and (d)
+// the v3-smaller claim.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 namespace vsg::wire {
 namespace {
 
-Version all_versions[] = {Version::kV1, Version::kV2, Version::kV3};
+constexpr std::initializer_list<Version> all_versions = {Version::kFixedWidth, Version::kV3};
 
 core::Label lab(std::uint64_t epoch, std::uint32_t seqno, ProcId origin) {
   return core::Label{core::ViewId{epoch, 0}, seqno, origin};
@@ -33,8 +33,8 @@ core::Summary sample_summary() {
 }
 
 template <typename T>
-void roundtrip(const T& v) {
-  for (const Version w : all_versions) {
+void roundtrip(const T& v, std::initializer_list<Version> layouts = all_versions) {
+  for (const Version w : layouts) {
     util::Encoder e;
     Codec<T>::encode(e, v, w);
     EXPECT_EQ(e.size(), Codec<T>::size(v, w)) << to_string(w);
@@ -51,8 +51,9 @@ TEST(Codec, ViewIdRoundTripsUnderEveryVersion) {
 }
 
 TEST(Codec, ViewRoundTripsUnderEveryVersion) {
-  roundtrip(core::View{core::ViewId{7, 1}, {0, 1, 2, 5}});
-  roundtrip(core::View{core::ViewId{}, {}});
+  // Views travel only in frames: v3 is their one layout.
+  roundtrip(core::View{core::ViewId{7, 1}, {0, 1, 2, 5}}, {Version::kV3});
+  roundtrip(core::View{core::ViewId{}, {}}, {Version::kV3});
 }
 
 TEST(Codec, LabelRoundTripsUnderEveryVersion) {
@@ -84,19 +85,31 @@ TEST(Codec, DigestAndDeltaRoundTripUnderV3) {
   EXPECT_TRUE(d2.complete());
 }
 
-TEST(Codec, LegacyShimsMatchV2Bytes) {
-  // The deprecated free functions are pinned to the legacy layout: their
-  // bytes must equal the v2 codec's, so existing v1/v2 frames and scenario
-  // pins keep decoding bit-identically.
-  const core::Summary x = sample_summary();
-  util::Encoder legacy;
-  core::encode(legacy, x);
-  util::Encoder v2;
-  Codec<core::Summary>::encode(v2, x, Version::kV2);
-  EXPECT_EQ(legacy.bytes(), v2.bytes());
-  EXPECT_EQ(core::encoded_size(x), Codec<core::Summary>::size(x, Version::kV2));
+TEST(Codec, PayloadShimsMatchFixedWidthBytes) {
+  // Labeled values and full summaries ride the ring in the fixed-width
+  // payload body layout, and the pinned campaign fingerprint hashes those
+  // bytes: the core::encode shims must equal the kFixedWidth codec, and a
+  // label's bytes are pinned outright (u64 epoch | u32 viewid origin |
+  // u32 seqno | u32 origin, little-endian).
+  const core::Label l{core::ViewId{0x0102, 3}, 4, 5};
+  util::Encoder label;
+  core::encode(label, l);
+  EXPECT_EQ(label.bytes(), (util::Bytes{0x02, 0x01, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+                                        4, 0, 0, 0, 5, 0, 0, 0}));
+  EXPECT_EQ(label.size(), core::encoded_size(l));
+  util::Decoder dl(label.bytes());
+  EXPECT_EQ(core::decode_label(dl), l);
+  EXPECT_TRUE(dl.complete());
 
-  util::Decoder d(legacy.bytes());
+  const core::Summary x = sample_summary();
+  util::Encoder shim;
+  core::encode(shim, x);
+  util::Encoder fixed;
+  Codec<core::Summary>::encode(fixed, x, Version::kFixedWidth);
+  EXPECT_EQ(shim.bytes(), fixed.bytes());
+  EXPECT_EQ(core::encoded_size(x), Codec<core::Summary>::size(x, Version::kFixedWidth));
+
+  util::Decoder d(shim.bytes());
   EXPECT_EQ(core::decode_summary(d), x);
   EXPECT_TRUE(d.complete());
 }
@@ -127,14 +140,14 @@ TEST(Codec, ChainedLabelsCostOneOrTwoBytesEach) {
   for (const auto& l : run) total += chain.size(l);
   // First label pays for the epoch; the other 99 are 4 one-byte svarints.
   EXPECT_LE(total, 5 + 99 * 4u);
-  // Fixed-width v2 spends 20 bytes per label, unconditionally.
-  EXPECT_EQ(Codec<core::Label>::size(run[0], Version::kV2) * run.size(), 2000u);
+  // The fixed-width layout spends 20 bytes per label, unconditionally.
+  EXPECT_EQ(Codec<core::Label>::size(run[0], Version::kFixedWidth) * run.size(), 2000u);
 }
 
-TEST(Codec, V3SummariesAreSmallerThanV2) {
+TEST(Codec, V3SummariesAreSmallerThanFixedWidth) {
   const core::Summary x = sample_summary();
   EXPECT_LT(Codec<core::Summary>::size(x, Version::kV3),
-            Codec<core::Summary>::size(x, Version::kV2) / 2);
+            Codec<core::Summary>::size(x, Version::kFixedWidth) / 2);
   // And the digest is far smaller still than either.
   const core::SummaryDigest g = core::digest(x);
   EXPECT_LT(Codec<core::SummaryDigest>::size(g, Version::kV3),
@@ -154,14 +167,36 @@ TEST(Codec, TruncatedV3InputSetsNotOk) {
   }
 }
 
-TEST(Codec, KnownVersionPredicate) {
-  EXPECT_FALSE(known_version(0));
-  EXPECT_TRUE(known_version(1));
-  EXPECT_TRUE(known_version(2));
-  EXPECT_TRUE(known_version(3));
-  EXPECT_FALSE(known_version(4));
-  EXPECT_FALSE(known_version(0x7F));
+}  // namespace
+}  // namespace vsg::wire
+
+// The core::ViewId / core::View serde round trips, through the codec that
+// carries them (the fixed-width ViewId inside full summaries, v3 in frames).
+namespace vsg::core {
+namespace {
+
+template <typename T>
+T roundtrip_v3(const T& v) {
+  util::Encoder e;
+  wire::Codec<T>::encode(e, v, wire::Version::kV3);
+  const auto buf = e.take();
+  util::Decoder d(buf);
+  const T back = wire::Codec<T>::decode(d, wire::Version::kV3);
+  EXPECT_TRUE(d.complete());
+  return back;
+}
+
+TEST(ViewId, SerdeRoundTrip) {
+  EXPECT_EQ(roundtrip_v3(ViewId{77, 5}), (ViewId{77, 5}));
+  util::Encoder e;
+  wire::Codec<ViewId>::encode(e, ViewId{77, 5}, wire::Version::kFixedWidth);
+  EXPECT_EQ(e.bytes(), (util::Bytes{77, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0}));
+}
+
+TEST(View, SerdeRoundTrip) {
+  const View v{ViewId{9, 1}, {0, 2, 4}};
+  EXPECT_EQ(roundtrip_v3(v), v);
 }
 
 }  // namespace
-}  // namespace vsg::wire
+}  // namespace vsg::core

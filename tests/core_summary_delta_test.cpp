@@ -1,4 +1,4 @@
-// Anti-entropy digest/delta algebra (docs/WIRE.md, "v3 state exchange"):
+// Anti-entropy digest/delta algebra (docs/WIRE.md, "Digest/delta state exchange"):
 // digest watermarks, the meet of digests, and the central round-trip
 // property — apply_delta(delta(a, digest(b)), b) reconstructs a exactly on
 // ord/next/high and up to union-equivalence on con — under the protocol

@@ -1,4 +1,5 @@
-// ViewId / View: total order, initial view, serde round trips.
+// ViewId / View: total order, initial view (serde round trips live in
+// core_codec_test.cpp, beside the codec that carries them).
 
 #include <gtest/gtest.h>
 
@@ -39,25 +40,6 @@ TEST(View, EqualityIsStructural) {
   View c{ViewId{1, 0}, {0, 2}};
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-}
-
-TEST(ViewId, SerdeRoundTrip) {
-  util::Encoder e;
-  encode(e, ViewId{77, 5});
-  const auto buf = e.take();
-  util::Decoder d(buf);
-  EXPECT_EQ(decode_viewid(d), (ViewId{77, 5}));
-  EXPECT_TRUE(d.complete());
-}
-
-TEST(View, SerdeRoundTrip) {
-  View v{ViewId{9, 1}, {0, 2, 4}};
-  util::Encoder e;
-  encode(e, v);
-  const auto buf = e.take();
-  util::Decoder d(buf);
-  EXPECT_EQ(decode_view(d), v);
-  EXPECT_TRUE(d.complete());
 }
 
 TEST(ToString, HumanReadableForms) {

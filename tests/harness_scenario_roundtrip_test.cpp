@@ -68,7 +68,6 @@ TEST(ScenarioRoundTrip, MetaRoundTrips) {
   meta.n = 5;
   meta.seed = 123456789012345ULL;
   meta.until = sim::sec(17);
-  meta.wire = 1;
   meta.shards = 4;
   meta.budget = 4096;
   Scenario s;
@@ -125,12 +124,22 @@ TEST(ScenarioRoundTrip, ConfigParseErrors) {
   EXPECT_FALSE(parse_scenario("config seed -3\n").ok());
   EXPECT_FALSE(parse_scenario("config until soon\n").ok());
   EXPECT_FALSE(parse_scenario("config horizon 3s\n").ok());
-  EXPECT_FALSE(parse_scenario("config wire v2\n").ok());
-  EXPECT_FALSE(parse_scenario("config wire 0\n").ok());
   EXPECT_FALSE(parse_scenario("config shards 0\n").ok());
   EXPECT_FALSE(parse_scenario("config shards two\n").ok());
-  EXPECT_TRUE(
-      parse_scenario("config n 4\nconfig seed 9\nconfig until 15s\nconfig wire 2\n").ok());
+  EXPECT_TRUE(parse_scenario("config n 4\nconfig seed 9\nconfig until 15s\n").ok());
+}
+
+TEST(ScenarioRoundTrip, RetiredWirePinIsRejectedByName) {
+  // Frames have one layout; a frame-version pin from a scenario recorded
+  // before the v1/v2 layouts were retired must fail loudly, never be
+  // silently ignored.
+  for (const char* text : {"config wire 1\n", "config wire 3\n", "config wire\n",
+                           "config n 4\nconfig wire 2\nat 0s heal\n"}) {
+    const auto parsed = parse_scenario(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.error.find("config wire is retired"), std::string::npos)
+        << parsed.error;
+  }
 }
 
 TEST(ScenarioRoundTrip, ShardsMetaRoundTripsAlone) {

@@ -87,45 +87,36 @@ TEST(Messages, MeasuredSizeIsExactForEveryPacketType) {
 }
 
 TEST(Messages, WarmEntriesCacheReencodesIdentically) {
-  for (const WireFormat w : {WireFormat::kV1, WireFormat::kV2}) {
-    Token t;
-    t.gid = core::ViewId{5, 1};
-    t.lap = 3;
-    t.entries = {{0, util::Bytes{1, 2, 3}}, {2, util::Bytes{4}}};
-    t.delivered = {{0, 1}, {2, 2}};
-    const Packet pkt{t};
-    const auto cold = encode_packet(pkt, w);  // warms the version's cache
-    if (w == WireFormat::kV1) {
-      ASSERT_FALSE(std::get<Token>(pkt).entries_wire.empty());
-    } else {
-      ASSERT_FALSE(std::get<Token>(pkt).entries_segs.empty());
-      ASSERT_FALSE(std::get<Token>(pkt).entries_segs.front().wire.empty());
-    }
-    const auto warm = encode_packet(pkt, w);  // splices the cached section
-    EXPECT_EQ(warm, cold) << to_string(w);
-    EXPECT_EQ(encoded_packet_size(pkt, w), warm.size()) << to_string(w);
-  }
+  Token t;
+  t.gid = core::ViewId{5, 1};
+  t.lap = 3;
+  t.entries = {{0, util::Bytes{1, 2, 3}}, {2, util::Bytes{4}}};
+  t.delivered = {{0, 1}, {2, 2}};
+  const Packet pkt{t};
+  const auto cold = encode_packet(pkt);  // warms the segment cache
+  ASSERT_FALSE(std::get<Token>(pkt).entries_segs.empty());
+  ASSERT_FALSE(std::get<Token>(pkt).entries_segs.front().wire.empty());
+  WireEncodeStats stats;
+  const auto warm = encode_packet(pkt, &stats);  // splices the cached section
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(stats.entries_spliced, 2u);
+  EXPECT_EQ(stats.entries_rebuilt, 0u);
+  EXPECT_EQ(encoded_packet_size(pkt), warm.size());
 }
 
 TEST(Messages, DecodedTokenEntriesAreSlicesOfThePacket) {
-  for (const WireFormat w : {WireFormat::kV1, WireFormat::kV2}) {
-    Token t;
-    t.gid = core::ViewId{2, 0};
-    t.entries = {{0, util::Bytes{1, 2, 3}}, {1, util::Bytes{4, 5}}};
-    const auto packet = encode_packet(Packet{t}, w);
-    const auto back = decode_packet(packet);
-    ASSERT_TRUE(back.has_value());
-    const auto& got = std::get<Token>(*back);
-    for (const auto& [src, payload] : got.entries)
-      EXPECT_EQ(payload.id(), packet.id()) << "entry from " << src << " must share storage";
-    // Decoding also warms the version-appropriate cache with packet slices.
-    if (w == WireFormat::kV1) {
-      EXPECT_EQ(got.entries_wire.id(), packet.id());
-    } else {
-      ASSERT_FALSE(got.entries_segs.empty());
-      for (const auto& seg : got.entries_segs) EXPECT_EQ(seg.wire.id(), packet.id());
-    }
-  }
+  Token t;
+  t.gid = core::ViewId{2, 0};
+  t.entries = {{0, util::Bytes{1, 2, 3}}, {1, util::Bytes{4, 5}}};
+  const auto packet = encode_packet(Packet{t});
+  const auto back = decode_packet(packet);
+  ASSERT_TRUE(back.has_value());
+  const auto& got = std::get<Token>(*back);
+  for (const auto& [src, payload] : got.entries)
+    EXPECT_EQ(payload.id(), packet.id()) << "entry from " << src << " must share storage";
+  // Decoding also warms the segment cache with packet slices.
+  ASSERT_FALSE(got.entries_segs.empty());
+  for (const auto& seg : got.entries_segs) EXPECT_EQ(seg.wire.id(), packet.id());
 }
 
 TEST(Messages, UnknownTagRejected) {

@@ -35,17 +35,13 @@ void board(Token& t, ProcId src, const std::vector<util::Buffer>& batch) {
 
 bool same_entries(const Token& a, const Token& b) { return a.entries == b.entries; }
 
-// encode_packet warms the caches of the Packet it is handed — a copy. Real
-// callers (forward_token) copy the warmed caches back onto the live token;
+// encode_packet warms the cache of the Packet it is handed — a copy. Real
+// callers (forward_token) copy the warmed cache back onto the live token;
 // mirror that here so warm-cache behavior is actually exercised.
-util::Buffer encode_warm(Token& t, WireFormat w = kDefaultWireFormat,
-                         WireEncodeStats* stats = nullptr) {
+util::Buffer encode_warm(Token& t, WireEncodeStats* stats = nullptr) {
   Packet pkt{t};
-  auto wire = encode_packet(pkt, w, stats);
-  const Token& encoded = std::get<Token>(pkt);
-  t.entries_wire = encoded.entries_wire;
-  t.entries_segs = encoded.entries_segs;
-  t.segs_version = encoded.segs_version;
+  auto wire = encode_packet(pkt, stats);
+  t.entries_segs = std::get<Token>(pkt).entries_segs;
   return wire;
 }
 
@@ -81,8 +77,8 @@ TEST(TokenBatch, BatchedSpliceEqualsSingleBoards) {
     // both sides: those ARE byte-identical.
     auto ta = std::get<Token>(*a);
     auto tb = std::get<Token>(*b);
-    ta.invalidate_wire_caches();
-    tb.invalidate_wire_caches();
+    ta.entries_segs.clear();
+    tb.entries_segs.clear();
     EXPECT_EQ(encode_packet(Packet{ta}), encode_packet(Packet{tb})) << "round " << round;
   }
 }
@@ -91,18 +87,18 @@ TEST(TokenBatch, EmptyBacklogLeavesTheCacheWarm) {
   Token t = fresh_token();
   board(t, 0, {util::Bytes{1, 2}});
   WireEncodeStats first;
-  (void)encode_warm(t, kDefaultWireFormat, &first);
+  (void)encode_warm(t, &first);
   EXPECT_EQ(first.entries_rebuilt, 1u);
 
   t.note_boarded(0);  // a pass that boarded nothing must not invalidate
   WireEncodeStats second;
-  (void)encode_warm(t, kDefaultWireFormat, &second);
+  (void)encode_warm(t, &second);
   EXPECT_EQ(second.entries_rebuilt, 0u);
   EXPECT_EQ(second.entries_spliced, 1u);
 }
 
 TEST(TokenBatch, EachPayloadIsRebuiltExactlyOnceAcrossPasses) {
-  // The headline claim behind ring.entries_rebuilds: under v2, a payload is
+  // The headline claim behind ring.entries_rebuilds: a payload is
   // serialized from structs exactly once (its boarding pass); every later
   // pass carries it by splice.
   util::Rng rng(7);
@@ -116,7 +112,7 @@ TEST(TokenBatch, EachPayloadIsRebuiltExactlyOnceAcrossPasses) {
     board(t, static_cast<ProcId>(pass % 3), batch);
     boarded_total += n;
     WireEncodeStats s;
-    (void)encode_warm(t, WireFormat::kV2, &s);
+    (void)encode_warm(t, &s);
     EXPECT_EQ(s.entries_rebuilt, n) << "pass " << pass;
     rebuilt_total += s.entries_rebuilt;
   }
@@ -151,23 +147,6 @@ TEST(TokenBatch, TrimMidPassDropsWholeSegmentsAndSplitsTheBoundary) {
         << "trim " << trim;
     EXPECT_EQ(std::get<Token>(*cached).base, std::get<Token>(*rebuilt).base) << "trim " << trim;
   }
-}
-
-TEST(TokenBatch, V1PathStillInvalidatesWholeSectionPerPass) {
-  // The legacy layout has a single section cache: any boarding pass forces
-  // a full re-serialization of every riding entry. This is the contrast
-  // the v1/v2 bench numbers quantify.
-  util::Rng rng(5);
-  Token t = fresh_token();
-  std::uint64_t rebuilt_total = 0;
-  for (int pass = 0; pass < 5; ++pass) {
-    board(t, 0, {payload(rng)});
-    WireEncodeStats s;
-    (void)encode_warm(t, WireFormat::kV1, &s);
-    EXPECT_EQ(s.entries_rebuilt, t.entries.size()) << "pass " << pass;
-    rebuilt_total += s.entries_rebuilt;
-  }
-  EXPECT_EQ(rebuilt_total, 1u + 2 + 3 + 4 + 5);
 }
 
 }  // namespace

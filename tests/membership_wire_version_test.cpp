@@ -1,7 +1,7 @@
-// Frame versioning (docs/WIRE.md): v1 frames decode bit-identically under
-// the v2-capable decoder, unknown version bytes are rejected with a clear
-// error — even under the chaos unchecked-decode injection — and
-// encoded_packet_size stays exact for both versions.
+// Frame versioning (docs/WIRE.md): v3 is the one frame layout. Frames
+// carrying the retired v1/v2 version bytes are refused as retired and
+// unknown version bytes as unknown — even under the chaos unchecked-decode
+// injection — and encoded_packet_size stays exact.
 
 #include <gtest/gtest.h>
 
@@ -50,90 +50,78 @@ bool packets_equal(const Packet& a, const Packet& b) {
   return std::get<Probe>(a).gid == std::get<Probe>(b).gid;
 }
 
-TEST(WireVersion, V1FramesDecodeIdenticallyUnderTheV2CapableDecoder) {
-  // The decoder has no version switch to flip: the same decode_packet_ex
-  // that speaks v2 must reproduce every v1 packet exactly.
+/// Re-seal a frame after editing its bytes: checksum = fnv1a chained over
+/// the version byte and the body, so only the intended defect remains.
+void reseal(util::Bytes& bytes) {
+  const std::uint32_t checksum = static_cast<std::uint32_t>(util::fnv1a(
+      util::BufferView(bytes.data() + kFrameHeaderSize, bytes.size() - kFrameHeaderSize),
+      util::fnv1a(util::BufferView(bytes.data(), 1))));
+  for (int i = 0; i < 4; ++i)
+    bytes[1 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(checksum >> (8 * i));
+}
+
+/// A well-formed frame of every packet kind relabelled with version byte
+/// `v` and a correct checksum for it.
+std::vector<util::Bytes> frames_with_version(std::uint8_t v) {
+  std::vector<util::Bytes> out;
   for (const auto& pkt : sample_packets()) {
-    const auto v1 = encode_packet(pkt, WireFormat::kV1);
-    ASSERT_EQ(v1.view()[0], 1u);
-    const auto back = decode_packet_ex(v1);
-    ASSERT_TRUE(back.ok()) << back.error;
-    EXPECT_TRUE(packets_equal(pkt, *back.packet)) << "tag index " << pkt.index();
+    util::Bytes bytes = encode_packet(pkt).to_bytes();
+    bytes[0] = v;
+    reseal(bytes);
+    out.push_back(std::move(bytes));
   }
+  return out;
 }
 
-TEST(WireVersion, V1AndV2AgreeOnDecodedContent) {
-  const Packet pkt{sample_token()};
-  const auto v1 = decode_packet_ex(encode_packet(pkt, WireFormat::kV1));
-  const auto v2 = decode_packet_ex(encode_packet(pkt, WireFormat::kV2));
-  ASSERT_TRUE(v1.ok()) << v1.error;
-  ASSERT_TRUE(v2.ok()) << v2.error;
-  EXPECT_TRUE(packets_equal(*v1.packet, *v2.packet));
+TEST(WireVersion, RetiredVersionBytesAreRejected) {
+  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}})
+    for (const auto& bytes : frames_with_version(v)) {
+      const auto out = decode_packet_ex(util::Buffer{bytes});
+      EXPECT_FALSE(out.ok());
+      EXPECT_NE(out.error.find("retired wire version " + std::to_string(v)),
+                std::string::npos)
+          << out.error;
+      EXPECT_NE(out.error.find("docs/WIRE.md"), std::string::npos) << out.error;
+    }
 }
 
-TEST(WireVersion, MeasuredSizeIsExactForEveryVersion) {
-  for (const WireFormat w : {WireFormat::kV1, WireFormat::kV2, WireFormat::kV3})
-    for (const auto& pkt : sample_packets())
-      EXPECT_EQ(encode_packet(pkt, w).size(), encoded_packet_size(pkt, w))
-          << to_string(w) << " tag index " << pkt.index();
+TEST(WireVersion, RetiredVersionBytesAreRejectedEvenWithUncheckedDecodeInjected) {
+  // The injection disables checksums and truncation checks, never the
+  // version gate: a v1/v2 frame must not be read under the v3 layout.
+  const util::UncheckedDecodeGuard unchecked;
+  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}})
+    for (const auto& bytes : frames_with_version(v)) {
+      const auto out = decode_packet_ex(util::Buffer{bytes});
+      EXPECT_FALSE(out.ok());
+      EXPECT_NE(out.error.find("retired wire version"), std::string::npos) << out.error;
+    }
 }
 
-TEST(WireVersion, V2BatchesSameSourceRunsIntoOneSegmentHeader) {
-  // v1 spends 8 header bytes per entry (src + len); v2 spends 8 per
-  // same-source run plus 4 per entry (len). A run of k entries saves
-  // 4k - 8 bytes, so batching wins for any run longer than two.
-  Token t;
-  t.gid = core::ViewId{1, 0};
-  t.entries = {{0, util::Bytes{1}}, {0, util::Bytes{2}}, {0, util::Bytes{3}}};
-  const std::size_t v1 = encoded_packet_size(Packet{t}, WireFormat::kV1);
-  const std::size_t v2 = encoded_packet_size(Packet{t}, WireFormat::kV2);
-  EXPECT_EQ(v1 - v2, 4 * 3 - 8);
+TEST(WireVersion, SameSourceRunsShareOneSegmentHeader) {
+  // A run of k same-source entries pays one uvarint src + count header,
+  // then one uvarint length per payload; splitting the run by interleaving
+  // another source pays a header per run.
+  Token run;
+  run.gid = core::ViewId{1, 0};
+  run.entries = {{0, util::Bytes{1}}, {0, util::Bytes{2}}, {0, util::Bytes{3}}};
+  Token split = run;
+  split.entries[1].first = 1;
+  EXPECT_EQ(encoded_packet_size(Packet{split}) - encoded_packet_size(Packet{run}), 2u * 2);
 }
 
 TEST(WireVersion, V3FramesRoundTripForEveryPacketKind) {
   for (const auto& pkt : sample_packets()) {
-    const auto v3 = encode_packet(pkt, WireFormat::kV3);
+    const auto v3 = encode_packet(pkt);
     ASSERT_EQ(v3.view()[0], 3u);
     const auto back = decode_packet_ex(v3);
     ASSERT_TRUE(back.ok()) << back.error;
-    EXPECT_TRUE(packets_equal(pkt, *back.packet)) << "tag index " << pkt.index();
+    EXPECT_TRUE(packets_equal(pkt, *back.value)) << "tag index " << pkt.index();
   }
-}
-
-TEST(WireVersion, V3TokenFramesAreSmallerThanV2) {
-  // Varint scalars, delta-coded viewids and uvarint segment headers all
-  // shrink; the riding payload bytes themselves are incompressible.
-  const Packet pkt{sample_token()};
-  EXPECT_LT(encoded_packet_size(pkt, WireFormat::kV3),
-            encoded_packet_size(pkt, WireFormat::kV2));
-}
-
-TEST(WireVersion, WarmSegmentCacheIsNotSplicedAcrossVersions) {
-  // Per-segment caches hold bytes in one version's layout; re-encoding the
-  // same token under another version must rebuild, not splice stale bytes.
-  Token t = sample_token();
-  Packet warm{t};
-  (void)encode_packet(warm, WireFormat::kV2);  // warms the copy's caches
-  Token warmed = std::get<Token>(warm);
-  ASSERT_EQ(warmed.segs_version, 2u);
-
-  const auto v3_from_warm = encode_packet(Packet{warmed}, WireFormat::kV3);
-  Token cold = sample_token();
-  const auto v3_cold = encode_packet(Packet{cold}, WireFormat::kV3);
-  EXPECT_EQ(v3_from_warm, v3_cold);
-  const auto back = decode_packet_ex(v3_from_warm);
-  ASSERT_TRUE(back.ok()) << back.error;
-  EXPECT_TRUE(packets_equal(Packet{sample_token()}, *back.packet));
-
-  // Re-encoding under the warm version splices (byte-identical output).
-  const auto v2_again = encode_packet(Packet{warmed}, WireFormat::kV2);
-  Token cold2 = sample_token();
-  EXPECT_EQ(v2_again, encode_packet(Packet{cold2}, WireFormat::kV2));
 }
 
 TEST(WireVersion, UnknownVersionByteRejectedWithClearError) {
   auto bytes = encode_packet(Packet{Probe{std::nullopt}}).to_bytes();
-  bytes[0] = 4;  // one past the newest known version
+  bytes[0] = 4;  // one past the frame version
   const auto out = decode_packet_ex(util::Buffer{bytes});
   EXPECT_FALSE(out.ok());
   EXPECT_NE(out.error.find("unknown wire version 4"), std::string::npos) << out.error;
@@ -145,22 +133,12 @@ TEST(WireVersion, UnknownVersionRejectedEvenWithUncheckedDecodeInjected) {
   // version byte guards *which layout the bytes are read under*, so it must
   // stay load-bearing even in unchecked mode (never UB, never a
   // misinterpreted packet).
-  auto bytes = encode_packet(Packet{sample_token()}, WireFormat::kV2).to_bytes();
+  auto bytes = encode_packet(Packet{sample_token()}).to_bytes();
   bytes[0] = 0x7F;
   const util::UncheckedDecodeGuard unchecked;
   const auto out = decode_packet_ex(util::Buffer{bytes});
   EXPECT_FALSE(out.ok());
   EXPECT_NE(out.error.find("unknown wire version"), std::string::npos) << out.error;
-}
-
-TEST(WireVersion, VersionByteFlipBetweenKnownVersionsFailsTheChecksum) {
-  // The checksum chains over the version byte, so rewriting v2 -> v1 cannot
-  // reinterpret a v2 body under the v1 layout.
-  auto bytes = encode_packet(Packet{sample_token()}, WireFormat::kV2).to_bytes();
-  bytes[0] = 1;
-  const auto out = decode_packet_ex(util::Buffer{bytes});
-  EXPECT_FALSE(out.ok());
-  EXPECT_NE(out.error.find("checksum"), std::string::npos) << out.error;
 }
 
 TEST(WireVersion, EmptyPacketNamesItself) {
@@ -169,28 +147,23 @@ TEST(WireVersion, EmptyPacketNamesItself) {
   EXPECT_EQ(out.error, "empty packet");
 }
 
-TEST(WireVersion, MalformedV2SegmentsAreNamed) {
-  // Forge a v2 token whose entries section claims one entry but carries a
+TEST(WireVersion, MalformedV3SegmentsAreNamed) {
+  // Forge a token whose entries section claims one entry but carries a
   // zero-count segment: the decoder must call out the entries section, not
   // crash or accept garbage.
   Token t;
   t.gid = core::ViewId{1, 0};
   t.entries = {{0, util::Bytes{9}}};
-  auto bytes = encode_packet(Packet{t}, WireFormat::kV2).to_bytes();
-  // Layout: frame(9) tag(1) viewid(12) lap(4) base(4) total(4) src(4) count(4)...
-  const std::size_t count_off = 9 + 1 + 12 + 4 + 4 + 4 + 4;
-  ASSERT_LT(count_off + 4, bytes.size());
-  bytes[count_off] = 0;  // count LE: 1 -> 0
-  // Re-seal the frame (checksum = fnv1a chained over version byte + body)
-  // so only the semantic error remains.
-  const std::uint32_t checksum = static_cast<std::uint32_t>(util::fnv1a(
-      util::BufferView(bytes.data() + 9, bytes.size() - 9),
-      util::fnv1a(util::BufferView(bytes.data(), 1))));
-  for (int i = 0; i < 4; ++i)
-    bytes[1 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(checksum >> (8 * i));
+  auto bytes = encode_packet(Packet{t}).to_bytes();
+  // Layout: frame(9) tag(1) viewid(2) lap(1) base(1) total(1) src(1) count(1)...
+  const std::size_t count_off = kFrameHeaderSize + 1 + 2 + 1 + 1 + 1 + 1;
+  ASSERT_LT(count_off, bytes.size());
+  ASSERT_EQ(bytes[count_off], 1u);
+  bytes[count_off] = 0;  // count: 1 -> 0
+  reseal(bytes);
   const auto out = decode_packet_ex(util::Buffer{bytes});
   EXPECT_FALSE(out.ok());
-  EXPECT_NE(out.error.find("v2 token entries"), std::string::npos) << out.error;
+  EXPECT_NE(out.error.find("token entries"), std::string::npos) << out.error;
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Digest/delta state exchange end to end (docs/WIRE.md, "v3 state
-// exchange"): a wire-v3 world runs the two-phase protocol — digest
-// broadcast, then one delta against the meet of all digests — and must
-// deliver exactly what the full-summary wire-v2 world delivers on the same
-// seed, while moving an order of magnitude fewer exchange bytes through
-// crash/rejoin churn.
+// Digest/delta state exchange end to end (docs/WIRE.md, "Digest/delta
+// state exchange"): a digest/delta world runs the two-phase protocol —
+// digest broadcast, then one delta against the meet of all digests — and
+// must deliver exactly what the Figure 8 full-summary world delivers on the
+// same seed and the same v3 frames, while moving an order of magnitude
+// fewer exchange bytes through crash/rejoin churn.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +18,14 @@ using harness::Backend;
 using harness::World;
 using harness::WorldConfig;
 
-WorldConfig config(membership::WireFormat wire, std::uint64_t seed) {
+constexpr auto kFull = vstoto::ExchangeMode::kFullSummary;
+constexpr auto kDelta = vstoto::ExchangeMode::kDigestDelta;
+
+WorldConfig config(vstoto::ExchangeMode exchange, std::uint64_t seed) {
   WorldConfig cfg;
   cfg.n = 4;
   cfg.backend = Backend::kTokenRing;
-  cfg.ring.wire = wire;
+  cfg.exchange = exchange;
   cfg.seed = seed;
   return cfg;
 }
@@ -42,77 +45,79 @@ void churn(World& world) {
   world.run_until(sim::sec(12));
 }
 
-TEST(DeltaExchange, V3WorldSelectsDigestDeltaModeV2StaysFullSummary) {
-  World v2(config(membership::WireFormat::kV2, 5));
-  World v3(config(membership::WireFormat::kV3, 5));
-  EXPECT_EQ(v2.stack().process(0).exchange_mode(), vstoto::ExchangeMode::kFullSummary);
-  EXPECT_EQ(v3.stack().process(0).exchange_mode(), vstoto::ExchangeMode::kDigestDelta);
+TEST(DeltaExchange, ExchangeFieldSelectsTheMode) {
+  EXPECT_EQ(WorldConfig{}.exchange, kDelta);  // the ring default
+  World full(config(kFull, 5));
+  World delta(config(kDelta, 5));
+  EXPECT_EQ(full.stack().process(0).exchange_mode(), kFull);
+  EXPECT_EQ(delta.stack().process(0).exchange_mode(), kDelta);
 }
 
 TEST(DeltaExchange, SpecBackendStaysFullSummary) {
   WorldConfig cfg;
   cfg.backend = Backend::kSpec;
-  World world(cfg);
-  EXPECT_EQ(world.stack().process(0).exchange_mode(), vstoto::ExchangeMode::kFullSummary);
+  World world(cfg);  // exchange keeps its digest/delta default, ignored here
+  EXPECT_EQ(world.stack().process(0).exchange_mode(), kFull);
 }
 
 TEST(DeltaExchange, SameDeliveriesThroughCrashRejoinChurn) {
-  World v2(config(membership::WireFormat::kV2, 91));
-  World v3(config(membership::WireFormat::kV3, 91));
-  churn(v2);
-  churn(v3);
+  World full(config(kFull, 91));
+  World delta(config(kDelta, 91));
+  churn(full);
+  churn(delta);
 
   // Identical client outcome at quiescence: every processor delivered the
   // same multiset of (origin, value) pairs under both exchange protocols.
   // (The chosen total order may differ — establishment lands a couple of
   // token laps later in delta mode — so compare content, not order.)
-  for (ProcId p = 0; p < v2.n(); ++p) {
-    auto v2d = v2.stack().process(p).delivered();
-    auto v3d = v3.stack().process(p).delivered();
+  for (ProcId p = 0; p < full.n(); ++p) {
+    auto full_d = full.stack().process(p).delivered();
+    auto delta_d = delta.stack().process(p).delivered();
     std::map<std::pair<ProcId, core::Value>, int> a, b;
-    for (const auto& d : v2d) ++a[d];
-    for (const auto& d : v3d) ++b[d];
+    for (const auto& d : full_d) ++a[d];
+    for (const auto& d : delta_d) ++b[d];
     EXPECT_EQ(a, b) << "processor " << p;
   }
-  EXPECT_TRUE(v2.check_to_safety().empty());
-  EXPECT_TRUE(v3.check_to_safety().empty());
+  EXPECT_TRUE(full.check_to_safety().empty());
+  EXPECT_TRUE(delta.check_to_safety().empty());
 }
 
+// "V3" names the digest/delta exchange, which shipped with the delta layout.
 TEST(DeltaExchange, DigestAndDeltaCountersMoveOnlyUnderV3) {
-  World v2(config(membership::WireFormat::kV2, 91));
-  World v3(config(membership::WireFormat::kV3, 91));
-  churn(v2);
-  churn(v3);
+  World full(config(kFull, 91));
+  World delta(config(kDelta, 91));
+  churn(full);
+  churn(delta);
 
   const auto count = [](const World& w, const std::string& name) -> std::uint64_t {
     const auto* c = w.metrics().find_counter(name);
     return c == nullptr ? 0 : c->value();
   };
-  EXPECT_GT(count(v2, "to.summaries_sent"), 0u);
-  EXPECT_EQ(count(v2, "to.digests_sent"), 0u);
-  EXPECT_EQ(count(v2, "to.deltas_sent"), 0u);
+  EXPECT_GT(count(full, "to.summaries_sent"), 0u);
+  EXPECT_EQ(count(full, "to.digests_sent"), 0u);
+  EXPECT_EQ(count(full, "to.deltas_sent"), 0u);
 
-  EXPECT_EQ(count(v3, "to.summaries_sent"), 0u);
-  EXPECT_GT(count(v3, "to.digests_sent"), 0u);
-  EXPECT_GT(count(v3, "to.deltas_sent"), 0u);
+  EXPECT_EQ(count(delta, "to.summaries_sent"), 0u);
+  EXPECT_GT(count(delta, "to.digests_sent"), 0u);
+  EXPECT_GT(count(delta, "to.deltas_sent"), 0u);
   // One delta per member per completed collection; digests outnumber them.
-  EXPECT_GE(count(v3, "to.digests_sent"), count(v3, "to.deltas_sent"));
+  EXPECT_GE(count(delta, "to.digests_sent"), count(delta, "to.deltas_sent"));
 
   // The membership layer's payload census agrees with the process counters.
-  EXPECT_GT(count(v2, "ring.state_exchange_bytes.summary"), 0u);
-  EXPECT_EQ(count(v2, "ring.state_exchange_bytes.digest"), 0u);
-  EXPECT_EQ(count(v3, "ring.state_exchange_bytes.summary"), 0u);
-  EXPECT_GT(count(v3, "ring.state_exchange_bytes.digest"), 0u);
-  EXPECT_GT(count(v3, "ring.state_exchange_bytes.delta"), 0u);
+  EXPECT_GT(count(full, "ring.state_exchange_bytes.summary"), 0u);
+  EXPECT_EQ(count(full, "ring.state_exchange_bytes.digest"), 0u);
+  EXPECT_EQ(count(delta, "ring.state_exchange_bytes.summary"), 0u);
+  EXPECT_GT(count(delta, "ring.state_exchange_bytes.digest"), 0u);
+  EXPECT_GT(count(delta, "ring.state_exchange_bytes.delta"), 0u);
 }
 
 TEST(DeltaExchange, ExchangeBytesDropByAnOrderOfMagnitude) {
-  World v2(config(membership::WireFormat::kV2, 91));
-  World v3(config(membership::WireFormat::kV3, 91));
-  churn(v2);
-  churn(v3);
-  const auto* bc = v2.metrics().find_counter("ring.state_exchange_bytes");
-  const auto* ac = v3.metrics().find_counter("ring.state_exchange_bytes");
+  World full(config(kFull, 91));
+  World delta(config(kDelta, 91));
+  churn(full);
+  churn(delta);
+  const auto* bc = full.metrics().find_counter("ring.state_exchange_bytes");
+  const auto* ac = delta.metrics().find_counter("ring.state_exchange_bytes");
   ASSERT_NE(bc, nullptr);
   ASSERT_NE(ac, nullptr);
   const std::uint64_t before = bc->value();

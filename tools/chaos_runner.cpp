@@ -46,8 +46,7 @@ struct Options {
   bool smoke = false;
   bool shrink = true;
   bool inject_unchecked_decode = false;
-  bool cross_check = false;  // run each seed under wire v2 AND v3, compare
-  int wire = 0;              // 0: default; 1..3 pins the campaign frame layout
+  bool cross_check = false;  // run each seed under both state exchanges, compare
   // Per-pass boarding budget in bytes (0: unbounded). Pairs with the
   // urgency lanes (docs/FLOWCONTROL.md) so state exchange stays prompt
   // while the campaign squeezes client traffic through a capacity bound.
@@ -119,11 +118,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = next();
       if (v == nullptr) return false;
       opt.corrupt = std::atof(v);
-    } else if (arg == "--wire") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.wire = std::atoi(v);
-      if (!wire::known_version(static_cast<std::uint8_t>(opt.wire))) return false;
     } else if (arg == "--budget") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -208,7 +202,6 @@ chaos::CampaignConfig campaign_config(const Options& opt) {
   cfg.seeds = opt.seeds;
   cfg.jobs = opt.jobs;
   cfg.shrink = opt.shrink;
-  if (opt.wire != 0) cfg.ring.wire = static_cast<membership::WireFormat>(opt.wire);
   if (opt.pi_ms > 0) cfg.ring.pi = sim::msec(opt.pi_ms);
   if (opt.budget > 0) {
     // Budgeted campaigns always run with lanes: under a capacity bound the
@@ -272,15 +265,6 @@ int replay(const Options& opt) {
       return 2;
     }
   }
-  if (parsed.meta.wire.has_value()) {
-    if (!wire::known_version(static_cast<std::uint8_t>(*parsed.meta.wire))) {
-      std::fprintf(stderr,
-                   "%s pins wire v%d, but this build speaks v1, v2 and v3 (docs/WIRE.md)\n",
-                   opt.replay_file.c_str(), *parsed.meta.wire);
-      return 2;
-    }
-    cfg.ring.wire = static_cast<membership::WireFormat>(*parsed.meta.wire);
-  }
   if (parsed.meta.budget.has_value()) {
     // Same pairing as --budget: a repro minimized under a capacity bound
     // replays with the bound and the lanes that came with it.
@@ -329,10 +313,11 @@ int replay(const Options& opt) {
 }
 
 // The packet frozen into the golden frame fixtures (tests/wire/). check.sh
-// re-decodes the committed files on every run, so a layout change that can
-// no longer read old bytes fails the gate instead of shipping. Regenerate
-// (with --emit-golden-frames tests/wire) only when adding a version: the
-// existing files must keep decoding to this exact packet forever.
+// re-decodes the committed v3 file on every run, so a layout change that
+// can no longer read shipped bytes fails the gate instead of shipping, and
+// it checks the retired v1/v2 files and the unknown-version file are
+// refused. Regenerate (with --emit-golden-frames tests/wire) only when
+// adding a version: the existing files must keep their verdicts forever.
 membership::Packet golden_packet() {
   membership::Token t;
   t.gid = core::ViewId{6, 1};
@@ -359,17 +344,13 @@ bool write_binary(const std::string& path, const util::Bytes& bytes) {
 }
 
 int emit_golden_frames(const Options& opt) {
-  const membership::Packet pkt = golden_packet();
-  for (int v = 1; v <= 3; ++v) {
-    const auto buf =
-        membership::encode_packet(pkt, static_cast<membership::WireFormat>(v));
-    if (!write_binary(opt.emit_golden_dir + "/golden_v" + std::to_string(v) + ".frame",
-                      buf.to_bytes()))
-      return 2;
-  }
+  // The retired golden_v1/golden_v2 files can no longer be produced; they
+  // stay committed as the bytes decoders must refuse.
+  const util::Bytes v3 = membership::encode_packet(golden_packet()).to_bytes();
+  if (!write_binary(opt.emit_golden_dir + "/golden_v3.frame", v3)) return 2;
   // A structurally valid frame whose version byte is one past the newest
-  // known version: decoders must refuse it outright, never guess a layout.
-  auto unknown = membership::encode_packet(pkt, membership::WireFormat::kV3).to_bytes();
+  // version: decoders must refuse it outright, never guess a layout.
+  util::Bytes unknown = v3;
   unknown[0] = 4;
   if (!write_binary(opt.emit_golden_dir + "/unknown_version.frame", unknown)) return 2;
   return 0;
@@ -392,76 +373,77 @@ int decode_frame(const Options& opt) {
     return 1;
   }
   std::printf("%s: v%u frame, packet tag %zu — decodes clean\n",
-              opt.decode_frame_file.c_str(), version, out.packet->index());
+              opt.decode_frame_file.c_str(), version, out.value->index());
   return 0;
 }
 
-// Wire cross-check: every seed's schedule runs twice — once under wire v2
-// (whole-summary state exchange) and once under wire v3 (digest/delta) —
-// and the two shadow runs must agree on every oracle verdict and on the
-// delivered (origin, value) sequence at every processor. This is the
-// equivalence claim behind the v3 exchange: the compact protocol changes
-// how knowledge moves, never what gets delivered.
+// Exchange cross-check: every seed's schedule runs twice on identical v3
+// frames — once with the paper's Figure 8 whole-summary state exchange (the
+// reference) and once with digest/delta — and the two shadow runs must
+// agree on every oracle verdict and on the delivered (origin, value)
+// multiset at every processor. This is the equivalence claim behind the
+// digest/delta exchange: the compact protocol changes how knowledge moves,
+// never what gets delivered.
 int cross_check(const Options& opt) {
   chaos::CampaignConfig base = campaign_config(opt);
-  std::printf("wire cross-check: %d seeds from %llu, n=%d, v2 (full summary) vs v3 "
-              "(digest/delta)%s\n",
+  std::printf("exchange cross-check: %d seeds from %llu, n=%d, full summary vs "
+              "digest/delta on v3 frames%s\n",
               base.seeds, static_cast<unsigned long long>(base.first_seed),
               base.schedule.n, opt.smoke ? " (smoke preset)" : "");
 
   chaos::CampaignConfig full = base;
-  full.ring.wire = membership::WireFormat::kV2;
+  full.exchange = vstoto::ExchangeMode::kFullSummary;
   chaos::CampaignConfig delta = base;
-  delta.ring.wire = membership::WireFormat::kV3;
+  delta.exchange = vstoto::ExchangeMode::kDigestDelta;
 
   // Both shadow runs of every seed are independent Worlds; fan them out
   // like the campaign does and report serially in seed order.
-  std::vector<chaos::RunResult> v2_runs(static_cast<std::size_t>(base.seeds));
-  std::vector<chaos::RunResult> v3_runs(static_cast<std::size_t>(base.seeds));
+  std::vector<chaos::RunResult> full_runs(static_cast<std::size_t>(base.seeds));
+  std::vector<chaos::RunResult> delta_runs(static_cast<std::size_t>(base.seeds));
   const bool inject = util::unchecked_decode();  // thread_local: re-assert per worker
-  exec::run_parallel(opt.jobs, v2_runs.size(), [&](std::size_t i) {
+  exec::run_parallel(opt.jobs, full_runs.size(), [&](std::size_t i) {
     util::set_unchecked_decode_for_test(inject);
     const std::uint64_t seed = base.first_seed + static_cast<std::uint64_t>(i);
     const chaos::GeneratedSchedule schedule = chaos::generate_schedule(base.schedule, seed);
-    v2_runs[i] = chaos::run_one(full, schedule.scenario, base.schedule.n, seed,
-                                schedule.run_until, schedule.bcasts);
-    v3_runs[i] = chaos::run_one(delta, schedule.scenario, base.schedule.n, seed,
-                                schedule.run_until, schedule.bcasts);
+    full_runs[i] = chaos::run_one(full, schedule.scenario, base.schedule.n, seed,
+                                  schedule.run_until, schedule.bcasts);
+    delta_runs[i] = chaos::run_one(delta, schedule.scenario, base.schedule.n, seed,
+                                   schedule.run_until, schedule.bcasts);
   });
 
   int mismatches = 0;
   int dirty = 0;
   for (int i = 0; i < base.seeds; ++i) {
-    const std::uint64_t seed = base.first_seed + static_cast<std::uint64_t>(i);
-    const auto& v2 = v2_runs[static_cast<std::size_t>(i)];
-    const auto& v3 = v3_runs[static_cast<std::size_t>(i)];
-    if (!v2.ok() || !v3.ok()) {
+    const auto seed = static_cast<unsigned long long>(base.first_seed) +
+                      static_cast<unsigned long long>(i);
+    const auto& f = full_runs[static_cast<std::size_t>(i)];
+    const auto& d = delta_runs[static_cast<std::size_t>(i)];
+    if (!f.ok() || !d.ok()) {
       ++dirty;
-      std::printf("seed %llu: violations under %s\n",
-                  static_cast<unsigned long long>(seed),
-                  !v2.ok() && !v3.ok() ? "both wires" : (!v2.ok() ? "v2" : "v3"));
-      for (const auto& v : v2.violations) std::printf("  [v2] %s\n", v.c_str());
-      for (const auto& v : v3.violations) std::printf("  [v3] %s\n", v.c_str());
+      std::printf("seed %llu: violations under %s\n", seed,
+                  !f.ok() && !d.ok() ? "both exchanges"
+                                     : (!f.ok() ? "full summary" : "digest/delta"));
+      for (const auto& v : f.violations) std::printf("  [full] %s\n", v.c_str());
+      for (const auto& v : d.violations) std::printf("  [delta] %s\n", v.c_str());
     }
-    if (v2.violations != v3.violations) {
-      ++mismatches;
-      std::printf("seed %llu MISMATCH: oracle verdicts differ (%zu under v2, %zu under v3)\n",
-                  static_cast<unsigned long long>(seed), v2.violations.size(),
-                  v3.violations.size());
-    }
-    if (v2.delivery_fingerprint != v3.delivery_fingerprint ||
-        v2.delivered_total != v3.delivered_total) {
-      ++mismatches;
-      std::printf("seed %llu MISMATCH: deliveries diverge (v2 %llu values fp=%016llx, "
-                  "v3 %llu values fp=%016llx)\n",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(v2.delivered_total),
-                  static_cast<unsigned long long>(v2.delivery_fingerprint),
-                  static_cast<unsigned long long>(v3.delivered_total),
-                  static_cast<unsigned long long>(v3.delivery_fingerprint));
-    }
+    const bool verdicts_differ = f.violations != d.violations;
+    const bool deliveries_differ = f.delivery_fingerprint != d.delivery_fingerprint ||
+                                   f.delivered_total != d.delivered_total;
+    if (verdicts_differ)
+      std::printf("seed %llu MISMATCH: oracle verdicts differ (%zu under full summary, "
+                  "%zu under digest/delta)\n",
+                  seed, f.violations.size(), d.violations.size());
+    if (deliveries_differ)
+      std::printf("seed %llu MISMATCH: deliveries diverge (full %llu values fp=%016llx, "
+                  "delta %llu values fp=%016llx)\n",
+                  seed, static_cast<unsigned long long>(f.delivered_total),
+                  static_cast<unsigned long long>(f.delivery_fingerprint),
+                  static_cast<unsigned long long>(d.delivered_total),
+                  static_cast<unsigned long long>(d.delivery_fingerprint));
+    if (verdicts_differ || deliveries_differ) ++mismatches;
   }
-  std::printf("%d/%d seeds agree across wires (%d with violations under some wire)\n",
+  std::printf("%d/%d seeds agree across exchanges (%d with violations under some "
+              "exchange)\n",
               base.seeds - mismatches, base.seeds, dirty);
   if (mismatches > 0) return 1;
   return dirty > 0 ? 1 : 0;
@@ -598,7 +580,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--seeds N] [--first-seed S] [--n N] [--jobs N]\n"
                  "          [--shards K] [--domains N] [--backend ring|spec]\n"
-                 "          [--corrupt P] [--wire 1|2|3] [--budget BYTES] [--cross-check]\n"
+                 "          [--corrupt P] [--budget BYTES] [--cross-check]\n"
                  "          [--smoke]\n"
                  "          [--no-shrink] [--repro-dir DIR] [--export PATH]\n"
                  "          [--timeline-out PATH] [--health-oracle] [--stall-ms N] "
