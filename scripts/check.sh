@@ -70,6 +70,10 @@ fi
 grep -q '"net.packets_sent": 247105' build/CHAOS_smoke.json
 grep -q '"ring.entries_delivered": 46179' build/CHAOS_smoke.json
 grep -q '"ring.token_rotations": 267240' build/CHAOS_smoke.json
+# Labels copied into the proof-only buildorder history. Copies happen once
+# per view exit (never per message), so the count is deterministic and
+# bounded by views x order depth.
+grep -q '"to.history_snapshot_labels": 33013' build/CHAOS_smoke.json
 
 # Sharded smoke (docs/SHARDING.md): a four-shard campaign with correlated
 # failure-domain faults must run clean under the per-shard oracle set, and
@@ -134,7 +138,7 @@ test "$(ls build/timelines/timeline_seed*.json | wc -l)" -eq 50
 ./build/tools/chaos_runner --replay tests/scenarios/chaos_seed248_stuck_proposal.scn \
     --timeline-out build/replay_timeline.json
 tfp=$(./build/tools/vsg_report --fingerprint build/replay_timeline.json | cut -d' ' -f1)
-if [ "$tfp" != "9fd978a7e509869b" ]; then
+if [ "$tfp" != "b5b088841c8b662b" ]; then
   echo "check.sh: fixed-seed timeline fingerprint drifted ($tfp)" >&2
   exit 1
 fi

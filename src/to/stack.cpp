@@ -111,6 +111,7 @@ void Stack::bind_metrics(obs::MetricsRegistry& registry) {
   obs.primary_established = &registry.counter("to.primary_established");
   obs.decode_hits = &registry.counter("to.decode_hits");
   obs.decode_misses = &registry.counter("to.decode_misses");
+  obs.history_snapshot_labels = &registry.counter("to.history_snapshot_labels");
   for (auto& proc : procs_) proc->bind_metrics(obs);
 
   latency_all_ = &registry.histogram("to.brcv_latency.all");

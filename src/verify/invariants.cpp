@@ -24,11 +24,15 @@ bool established(const GlobalState& s, ProcId p, const core::ViewId& g) {
   return s.st(p).established.count(g) != 0;
 }
 
+// buildorder[p, g]: order itself for the current view once order changed
+// in it, else the snapshot taken when p left g (nullptr = undefined).
 const std::vector<core::Label>* buildorder(const GlobalState& s, ProcId p,
                                            const core::ViewId& g) {
-  const auto& bo = s.st(p).buildorder;
-  auto it = bo.find(g);
-  return it == bo.end() ? nullptr : &it->second;
+  const auto& st = s.st(p);
+  if (st.current.has_value() && st.current->id == g)
+    return st.order_changed_in_view ? &st.order : nullptr;
+  auto it = st.buildorder.find(g);
+  return it == st.buildorder.end() ? nullptr : &it->second;
 }
 
 }  // namespace
@@ -510,12 +514,11 @@ std::vector<std::string> check_history_wellformed(const GlobalState& s) {
     const auto& st = s.st(p);
     if (!st.current.has_value()) continue;
     const auto& g = st.current->id;
-    if (established(s, p, g)) {
-      const auto* bo = buildorder(s, p, g);
-      if (bo == nullptr || *bo != st.order)
-        bad.push_back("history: buildorder[" + pname(p) +
-                      ", current] does not track order");
-    }
+    if (established(s, p, g) && !st.order_changed_in_view)
+      bad.push_back("history: " + pname(p) + " established current without setting order");
+    if (st.order_changed_in_view && st.buildorder.count(g) != 0)
+      bad.push_back("history: buildorder[" + pname(p) +
+                    ", current] stored while it is order");
     for (const auto& [bg, ord] : st.buildorder)
       if (bg > g)
         bad.push_back("history: buildorder at " + pname(p) + " names a future view");

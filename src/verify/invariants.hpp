@@ -43,9 +43,10 @@ std::vector<std::string> check_lemma_6_22(const GlobalState& s);
 std::vector<std::string> check_corollary_6_23(const GlobalState& s);
 std::vector<std::string> check_corollary_6_24(const GlobalState& s);
 
-/// Audit of the proof's history variables themselves: buildorder[p, g]
-/// tracks order_p while p is in view g (so for an established current view
-/// they must be equal), and established ids never exceed the current view.
+/// Audit of the proof's history variables themselves. buildorder[p, current]
+/// is order_p, not a stored copy: an established current view must have set
+/// order (so the entry is defined), no explicit snapshot may shadow it, and
+/// no snapshot may name a view above current.
 std::vector<std::string> check_history_wellformed(const GlobalState& s);
 
 /// Run every invariant checker.

@@ -22,6 +22,13 @@
 //
 // History variables established[p,g] and buildorder[p,g] (Section 6) are
 // maintained so the verification layer can check the paper's invariants.
+// They stay off the per-message path: buildorder[p, g] is order_p as of p's
+// last order change in view g, and within the current view that is order_p
+// itself. So buildorder[p, current] == order is not stored — a one-bit
+// marker (order_changed_in_view) says whether it is defined — and on_newview
+// snapshots order into buildorder[old view] once, on exit, when the marker
+// is set. A labelled message costs O(1) history upkeep, a view exit
+// O(|order|); verify/ resolves the current-view entry through the marker.
 
 #include <deque>
 #include <functional>
@@ -64,6 +71,7 @@ struct ProcessObs {
   obs::Counter* primary_established = nullptr; // ... where the view is primary
   obs::Counter* decode_hits = nullptr;         // decode-once cache hits (fan-in)
   obs::Counter* decode_misses = nullptr;       // payloads actually parsed
+  obs::Counter* history_snapshot_labels = nullptr;  // labels copied into buildorder at view exit
 };
 
 enum class PStatus : std::uint8_t { kNormal, kSend, kCollect };
@@ -106,8 +114,11 @@ struct ProcessState {
   bool delta_sent = false;
 
   // History variables (not part of the algorithm; used by verify/).
+  // buildorder holds past views only: buildorder[p, current] is `order`
+  // once order_changed_in_view is set (see the header comment).
   std::set<core::ViewId> established;
   std::map<core::ViewId, std::vector<core::Label>> buildorder;
+  bool order_changed_in_view = false;
 };
 
 class Process final : public vs::Client {

@@ -106,5 +106,34 @@ TEST(StackLateJoiner, ProcessorsOutsideP0JoinAndDeliver) {
   EXPECT_EQ(got[0].second, "after-join");
 }
 
+// The proof's buildorder history stays off the value path: a labelled
+// message copies nothing, and each view exit snapshots at most the order
+// then held. So over a fault-free run the labels copied into buildorder are
+// bounded by views installed x the order depth, with no timing involved; a
+// per-message copy would be quadratic in the values ordered.
+TEST(StackHistory, BuildorderSnapshotsStayLinearInViewsTimesOrder) {
+  WorldConfig cfg = base_config(Backend::kTokenRing, 4, 29);
+  cfg.n0 = 3;  // processor 3 joins once values flow: g0 exits with a nonempty order
+  World world(cfg);
+  harness::steady_traffic({0, 1, 2, 3}, 200, sim::msec(1), sim::msec(10)).apply(world);
+  world.run_until(sim::sec(5));
+  EXPECT_TRUE(world.check_to_safety().empty());
+
+  const auto& m = world.metrics();
+  const std::uint64_t copied = m.find_counter("to.history_snapshot_labels")->value();
+  const std::uint64_t views = m.find_counter("ring.views_installed")->value();
+  const std::int64_t depth = m.find_gauge("to.order_depth")->value();
+  ASSERT_GE(depth, 4 * 200) << "every value ordered somewhere";
+  EXPECT_GT(copied, 0u) << "leaving g0 snapshots the order built in it";
+  EXPECT_LE(copied, views * static_cast<std::uint64_t>(depth))
+      << views << " views, order depth " << depth;
+  for (ProcId p = 0; p < world.n(); ++p) {
+    const auto& st = world.stack().process(p).state();
+    ASSERT_TRUE(st.current.has_value());
+    EXPECT_EQ(st.buildorder.count(st.current->id), 0u)
+        << "buildorder[p, current] is order itself, never a stored copy (p" << p << ")";
+  }
+}
+
 }  // namespace
 }  // namespace vsg

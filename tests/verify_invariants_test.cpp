@@ -169,15 +169,26 @@ TEST(Invariants, MoreCheckersDetectSeededCorruption) {
     st0.established = saved;
   }
   {
-    // 6.16: an order that no established member's buildorder matches.
-    const auto saved_order = st0.order;
-    st0.order.push_back(core::Label{st0.current->id, 77, 0});
-    // (keep buildorder stale so the witness search fails)
-    const auto saved_bo = st0.buildorder;
-    EXPECT_FALSE(verify::check_lemma_6_16(gs).empty() &&
-                 verify::check_history_wellformed(gs).empty());
-    st0.order = saved_order;
-    st0.buildorder = saved_bo;
+    // 6.16: a collected summary whose ord no established member's
+    // buildorder for its high matches. gotstate feeds allstate, so a
+    // foreign label there leaves the witness search empty-handed. The
+    // summaries come from a real state exchange: partition, then heal.
+    World merged(spec_cfg(3, 9));
+    harness::steady_traffic({0, 1}, 3, sim::msec(10), sim::msec(10)).apply(merged);
+    merged.partition_at(sim::msec(20), {{0, 1}, {2}});
+    merged.heal_at(sim::msec(300));
+    merged.run_until(sim::sec(1));
+    const auto ms = merged.global_state();
+    ASSERT_TRUE(verify::check_all_invariants(ms).empty());
+    auto& stm = const_cast<vstoto::ProcessState&>(ms.procs[0]->state());
+    ASSERT_FALSE(stm.gotstate.empty());
+    auto& x = stm.gotstate.begin()->second;
+    ASSERT_TRUE(x.high.has_value());
+    const auto saved_ord = x.ord;
+    x.ord.push_back(core::Label{stm.current->id, 77, 0});
+    EXPECT_FALSE(verify::check_lemma_6_16(ms).empty());
+    x.ord = saved_ord;
+    EXPECT_TRUE(verify::check_lemma_6_16(ms).empty());
   }
   {
     // 6.17: someone established a view whose member lags behind it.
@@ -192,15 +203,27 @@ TEST(Invariants, MoreCheckersDetectSeededCorruption) {
   {
     // 6.21: ord containing a later same-origin label without the earlier one.
     const auto saved_order = st0.order;
-    const auto saved_bo = st0.buildorder;
     ASSERT_GE(st0.order.size(), 2u);
     // Remove the first of two same-origin labels from ord.
     st0.order.erase(st0.order.begin());
-    st0.buildorder[st0.current->id] = st0.order;
     EXPECT_FALSE(verify::check_lemma_6_21(gs).empty() &&
                  verify::check_corollary_6_23(gs).empty());
     st0.order = saved_order;
+  }
+  {
+    // History audit: buildorder[p, current] is order itself, so a stored
+    // copy shadowing it, a snapshot of a future view, or an established
+    // current view with the entry undefined are all malformed.
+    const auto saved_bo = st0.buildorder;
+    st0.buildorder[st0.current->id] = st0.order;
+    EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
     st0.buildorder = saved_bo;
+    st0.buildorder[core::ViewId{st0.current->id.epoch + 1, 0}] = {};
+    EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
+    st0.buildorder = saved_bo;
+    st0.order_changed_in_view = false;
+    EXPECT_FALSE(verify::check_history_wellformed(gs).empty());
+    st0.order_changed_in_view = true;
   }
   // Everything restored: clean again.
   EXPECT_TRUE(verify::check_all_invariants(gs).empty());

@@ -340,6 +340,53 @@ TEST(Process, StaleTentativeOrderLosesToFresherPrimary) {
   }
 }
 
+// buildorder[p, g] is order as of p's exit from g: no copy is kept while p
+// is in g (there buildorder[p, g] is order itself), one snapshot is taken at
+// newview, and a view in which order never changed gets none.
+TEST(Process, BuildorderIsSnapshottedOnceAtViewExit) {
+  Fixture f;
+  obs::MetricsRegistry registry;
+  ProcessObs obs;
+  obs.history_snapshot_labels = &registry.counter("to.history_snapshot_labels");
+  f.at(0).bind_metrics(obs);
+  const auto& st = f.at(0).state();
+  EXPECT_TRUE(st.order_changed_in_view) << "buildorder[p, g0] = {} = order";
+  EXPECT_TRUE(st.buildorder.empty());
+
+  // g0 -> v1: the initial view's (empty) entry becomes a snapshot.
+  const core::View v1{core::ViewId{1, 0}, {0, 1, 2}};
+  f.fake.newview(v1);
+  ASSERT_EQ(st.buildorder.size(), 1u);
+  EXPECT_TRUE(st.buildorder.at(core::ViewId::initial()).empty());
+  EXPECT_FALSE(st.order_changed_in_view);
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto summary = f.fake.sent[static_cast<std::size_t>(p)].back();
+    for (ProcId q = 0; q < 3; ++q) f.fake.deliver(p, q, summary);
+  }
+  EXPECT_TRUE(st.order_changed_in_view) << "establishment assigned order";
+  for (const char* a : {"a", "b", "c"}) {
+    f.at(0).bcast(a);
+    f.fake.deliver_all(0, f.fake.sent[0].back(), {0, 1, 2});
+  }
+  ASSERT_EQ(st.order.size(), 3u);
+  EXPECT_EQ(st.buildorder.count(v1.id), 0u) << "no per-message copy while in v1";
+  const auto order_at_exit = st.order;
+
+  // v1 -> v2 (a singleton, never established): v1's snapshot is order at exit.
+  const core::View v2{core::ViewId{2, 0}, {0}};
+  f.fake.newview(v2);
+  ASSERT_EQ(st.buildorder.count(v1.id), 1u);
+  EXPECT_EQ(st.buildorder.at(v1.id), order_at_exit);
+
+  // v2 -> v3: order never changed in v2, so v2 gets no snapshot.
+  const core::View v3{core::ViewId{3, 0}, {0, 1, 2}};
+  f.fake.newview(v3);
+  EXPECT_EQ(st.buildorder.count(v2.id), 0u);
+  EXPECT_EQ(st.buildorder.size(), 2u);
+  EXPECT_EQ(registry.counter("to.history_snapshot_labels").value(), order_at_exit.size())
+      << "labels copied: 0 at g0's exit, |order| at v1's, none at v2's";
+}
+
 TEST(Process, DeliveryCallbackFires) {
   Fixture f;
   std::vector<std::string> seen;
